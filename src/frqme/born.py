@@ -18,6 +18,7 @@ from .operators import (
     Tolerances,
     TraceDeviationError,
     ValidationError,
+    as_square_matrix,
     trace_distance,
     validate_density_matrix,
 )
@@ -36,7 +37,7 @@ class BornPrediction:
 
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:
     """Probabilities Tr(P_k rho) and the dephased state sum_k P_k rho P_k."""
-    rho = validate_density_matrix(rho0, tol)
+    rho = validate_density_matrix(as_square_matrix(rho0), tol)
     if rho.shape[0] != spectrum.dim:
         raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spectrum.dim}")
     projectors = tuple(spectrum.projector(k) for k in range(len(spectrum.groups)))

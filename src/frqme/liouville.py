@@ -46,7 +46,7 @@ def devectorize(vec) -> np.ndarray:
 
 def commutator_superop(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Matrix of rho -> [H, rho] in column-stacked form: I kron H - H^T kron I."""
-    hm = require_hermitian(h, tol)
+    hm = require_hermitian(as_square_matrix(h), tol)
     eye = np.eye(hm.shape[0], dtype=np.complex128)
     return np.kron(eye, hm) - np.kron(hm.T, eye)
 
@@ -70,14 +70,14 @@ class GeneratorSpec:
     extra_dissipators: tuple = ()
 
     def __post_init__(self):
-        drive = require_hermitian(self.drive)
+        drive = require_hermitian(as_square_matrix(self.drive))
         object.__setattr__(self, "drive", drive)
         if not (float(self.tau_c) >= 0.0):
             raise ValidationError(f"tau_c must be >= 0, got {self.tau_c}")
         object.__setattr__(self, "tau_c", float(self.tau_c))
         checked = []
         for op, strength in self.extra_dissipators:
-            om = require_hermitian(op)
+            om = require_hermitian(as_square_matrix(op))
             if om.shape != drive.shape:
                 raise ValidationError(
                     f"dissipator shape {om.shape} differs from drive {drive.shape}"

@@ -79,24 +79,54 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    a = as_square_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
-
-
-def require_hermitian(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    a = as_square_matrix(m)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol.herm:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol.herm:.3e}")
+def _as_square_stack(m) -> np.ndarray:
+    """Coerce to complex128: one square matrix or an (n, d, d) stack of them."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatchError(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
+        )
     return a
 
 
-def require_same_dim(*matrices) -> int:
-    dims = {as_square_matrix(m).shape[0] for m in matrices}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"dimension mismatch: {sorted(dims)}")
-    return dims.pop()
+def _first_failure(ok):
+    """Index of the first failed check, or None when every check passed.
+
+    ``ok`` is a numpy bool for one matrix (failure index ``()``) or an (n,)
+    bool array for a stack; the scalar case skips a reduction, because
+    single-matrix validation is on every hot path.
+    """
+    if ok.ndim == 0:
+        return None if ok else ()
+    return None if ok.all() else (int(np.argmin(ok)),)
+
+
+def _sample(index: tuple) -> str:
+    return f" in sample {index[0]}" if index else ""
+
+
+def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def hermiticity_defect(m) -> float:
+    return float(_hermiticity_defects(as_square_matrix(m)))
+
+
+def require_hermitian(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Check ``m == m^H`` within tol.herm and return it as complex128.
+
+    ``m`` is one matrix or an (n, d, d) stack; every sample is checked and
+    the first failing one is reported.  A non-finite entry always fails.
+    """
+    a = _as_square_stack(m)
+    defect = _hermiticity_defects(a)
+    i = _first_failure(defect <= tol.herm)
+    if i is not None:
+        raise NonHermitianError(
+            f"hermiticity defect {defect[i]:.3e}{_sample(i)} exceeds {tol.herm:.3e}"
+        )
+    return a
 
 
 def trace(m) -> complex:
@@ -107,17 +137,23 @@ def trace(m) -> complex:
 def validate_density_matrix(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Check the density-matrix invariants and return the array unchanged.
 
-    Raises NonHermitianError, TraceDeviationError or NegativeEigenvalueError
-    depending on which invariant fails first.
+    ``m`` is one matrix or an (n, d, d) stack, each sample checked on its
+    own.  Raises NonHermitianError, TraceDeviationError or
+    NegativeEigenvalueError depending on which invariant fails first; the
+    checks are NaN-safe, so a non-finite state never passes.
     """
     a = require_hermitian(m, tol)
-    tr = np.trace(a)
-    if abs(tr - 1.0) > tol.trace:
-        raise TraceDeviationError(f"trace {tr:.17g} deviates from 1 beyond {tol.trace:.3e}")
-    smallest = float(np.linalg.eigvalsh(a)[0])
-    if smallest < -tol.psd:
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    i = _first_failure(np.abs(tr - 1.0) <= tol.trace)
+    if i is not None:
+        raise TraceDeviationError(
+            f"trace {tr[i]:.17g}{_sample(i)} deviates from 1 beyond {tol.trace:.3e}"
+        )
+    smallest = np.linalg.eigvalsh(a)[..., 0]
+    i = _first_failure(smallest >= -tol.psd)
+    if i is not None:
         raise NegativeEigenvalueError(
-            f"smallest eigenvalue {smallest:.3e} is below -{tol.psd:.3e}"
+            f"smallest eigenvalue {smallest[i]:.3e}{_sample(i)} is below -{tol.psd:.3e}"
         )
     return a
 
@@ -130,7 +166,7 @@ def project_to_physical(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     and the trace is renormalized.  Violations beyond the tolerances are
     hard errors, so genuine bugs are not papered over.
     """
-    a = validate_density_matrix(m, tol)
+    a = validate_density_matrix(as_square_matrix(m), tol)
     a = 0.5 * (a + a.conj().T)
     evals, vecs = np.linalg.eigh(a)
     if evals[0] < 0.0:
@@ -144,17 +180,29 @@ def project_to_physical(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     return a / np.trace(a).real
 
 
-def purity(rho, tol: Tolerances = DEFAULT_TOLS) -> float:
-    """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
+def purity(rho, tol: Tolerances = DEFAULT_TOLS):
+    """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state.
+
+    A float for one state, an (n,) array for an (n, d, d) stack.
+    """
     a = validate_density_matrix(rho, tol)
-    return float(np.trace(a @ a).real)
+    p = np.trace(a @ a, axis1=-2, axis2=-1).real
+    return float(p) if a.ndim == 2 else p
 
 
-def trace_distance(a, b) -> float:
-    """Half the nuclear norm of a - b; a metric in [0, 1] for valid states."""
-    am, bm = as_square_matrix(a), as_square_matrix(b)
-    require_same_dim(am, bm)
-    return float(0.5 * np.linalg.svd(am - bm, compute_uv=False).sum())
+def trace_distance(a, b):
+    """Half the nuclear norm of a - b; a metric in [0, 1] for valid states.
+
+    Either operand may be an (n, d, d) stack; a single matrix broadcasts
+    against a stack.  A float for two matrices, an (n,) array otherwise.
+    """
+    am, bm = _as_square_stack(a), _as_square_stack(b)
+    if am.shape[-1] != bm.shape[-1]:
+        raise DimensionMismatchError(
+            f"dimension mismatch: {sorted({am.shape[-1], bm.shape[-1]})}"
+        )
+    d = 0.5 * np.linalg.svd(am - bm, compute_uv=False).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def tensor_product(*operators) -> np.ndarray:

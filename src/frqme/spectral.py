@@ -22,6 +22,7 @@ from .operators import (
     DEFAULT_TOLS,
     Tolerances,
     ValidationError,
+    as_square_matrix,
     require_hermitian,
     validate_density_matrix,
 )
@@ -67,7 +68,7 @@ def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
     Adjacent eigenvalues closer than tol.degeneracy_threshold(eigenvalues)
     fall into the same group, so exact degeneracies survive roundoff.
     """
-    hm = require_hermitian(h, tol)
+    hm = require_hermitian(as_square_matrix(h), tol)
     eigenvalues, eigenvectors = np.linalg.eigh(hm)
     threshold = tol.degeneracy_threshold(eigenvalues)
     groups = []
@@ -97,7 +98,7 @@ def from_eigenbasis(spectrum: Spectrum, coeffs) -> np.ndarray:
 def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closed-form state at time t from the entrywise eigenbasis solution."""
-    rho = validate_density_matrix(rho0, tol)
+    rho = validate_density_matrix(as_square_matrix(rho0), tol)
     if rho.shape[0] != spectrum.dim:
         raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spectrum.dim}")
     if not (float(tau_c) >= 0.0):
@@ -116,7 +117,7 @@ def asymptotic_state(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -
     eigenvector grouping; equals rho0 itself when the drive is fully
     degenerate (a single group).
     """
-    rho = validate_density_matrix(rho0, tol)
+    rho = validate_density_matrix(as_square_matrix(rho0), tol)
     if rho.shape[0] != spectrum.dim:
         raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spectrum.dim}")
     out = np.zeros_like(rho)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from frqme.cli import default_config, main
+from frqme import PulseSpec, single_qubit_scenario
+from frqme.cli import _FLOAT_CELL, _write_csv, default_config, main
 
 
 def run_cli(*argv):
@@ -21,6 +23,16 @@ def read_json(path):
 
 def as_complex_matrix(doc):
     return np.array([[complex(cell["re"], cell["im"]) for cell in row] for row in doc])
+
+
+def csv_writer_bytes(header, rows):
+    """Reference CSV: csv.writer rows with float cells formatted one by one."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{cell:.17g}" if isinstance(cell, float) else cell for cell in row])
+    return buffer.getvalue().encode("utf-8")
 
 
 class TestRun:
@@ -114,6 +126,29 @@ class TestRun:
         assert len(rows) == 51
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_timeseries_bytes_match_csv_writer(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", "grid_points=600") == 0
+        series = single_qubit_scenario(math.pi / 2.0, math.pi / 4.0, PulseSpec(),
+                                       grid_points=600).time_series
+        expected = csv_writer_bytes(
+            ("t", "purity", "max_cross_group_coherence", "trace_distance_to_born"),
+            series.tolist(),
+        )
+        assert (out / "timeseries.csv").read_bytes() == expected
+
+    def test_csv_cells_match_csv_writer(self, tmp_path):
+        header = ("name", "a", "b", "c")
+        rows = [
+            ["kappa", -0.0, 0.0, 5e-324],
+            ["tau_c", 1e-300, -2.5e-17, 1e16],
+            ["theta", 0.1, 1.0 / 3.0, 123456789.123456789],
+            ["phi", math.nan, math.inf, -math.inf],
+        ]
+        path = tmp_path / "cells.csv"
+        _write_csv(path, header, ("%s",) + (_FLOAT_CELL,) * 3, rows)
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
+
     def test_short_pulse_fails_comparison(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("run", "--out", str(out), "--set", "kappa=1") == 3
@@ -174,6 +209,16 @@ class TestConfigErrors:
                        "rho0": [[1.0, 0.0], [0.0, 0.0]], "t_max": 1.0},
         }), encoding="utf-8")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+
+    def test_custom_nan_state_is_numerical_failure(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "custom": {"hamiltonian": [[1.0, 0.0], [0.0, -1.0]],
+                       "rho0": [[math.nan, 0.0], [0.0, 0.5]], "t_max": 1.0},
+        }), encoding="utf-8")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        assert "hermiticity defect nan" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == 1

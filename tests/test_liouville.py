@@ -86,6 +86,15 @@ class TestGeneratorSpec:
         with pytest.raises(NonHermitianError):
             GeneratorSpec(drive=np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_drive(self, bad):
+        drive = SIGMA_Y.copy()
+        drive[0, 1] = bad
+        with pytest.raises(NonHermitianError):
+            GeneratorSpec(drive=drive)
+        with pytest.raises(NonHermitianError):
+            GeneratorSpec(drive=np.full((2, 2), bad))
+
     def test_rejects_mismatched_dissipator(self):
         with pytest.raises(ValidationError):
             GeneratorSpec(drive=SIGMA_Y, tau_c=1.0,

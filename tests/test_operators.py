@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from frqme import (
     DEFAULT_TOLS,
     DimensionMismatchError,
+    GeneratorSpec,
     NegativeEigenvalueError,
     NonHermitianError,
     SIGMA_X,
@@ -14,6 +15,8 @@ from frqme import (
     Tolerances,
     TraceDeviationError,
     bell_amplitudes,
+    born_predict,
+    eigendecompose,
     hermiticity_defect,
     maximally_mixed,
     partial_trace,
@@ -87,6 +90,71 @@ class TestValidation:
         with pytest.raises(NegativeEigenvalueError):
             validate_density_matrix(slightly_negative)
         validate_density_matrix(slightly_negative, Tolerances(psd=1e-5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(NonHermitianError):
+            validate_density_matrix(np.full((2, 2), bad))
+        for index in ((0, 0), (0, 1)):
+            rho = maximally_mixed(2)
+            rho[index] = bad
+            with pytest.raises(NonHermitianError):
+                validate_density_matrix(rho)
+
+
+class TestStacks:
+    """An (n, d, d) stack behaves like a loop over its samples."""
+
+    @staticmethod
+    def states(seed, n=7, dim=3):
+        rng = np.random.default_rng(seed)
+        return np.array([random_density(rng, dim) for _ in range(n)])
+
+    def test_stacked_results_equal_per_matrix_loop(self):
+        stack, others = self.states(21), self.states(22)
+        np.testing.assert_array_equal(validate_density_matrix(stack), stack)
+        np.testing.assert_array_equal(purity(stack), [purity(rho) for rho in stack])
+        np.testing.assert_array_equal(
+            trace_distance(stack, others),
+            [trace_distance(a, b) for a, b in zip(stack, others)],
+        )
+        np.testing.assert_array_equal(
+            trace_distance(stack, others[0]),
+            [trace_distance(a, others[0]) for a in stack],
+        )
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[0.5, 1e-3], [0.0, 0.5]]), NonHermitianError),
+        (np.eye(2), TraceDeviationError),
+        (np.diag([1.5, -0.5]), NegativeEigenvalueError),
+        (np.full((2, 2), np.nan), NonHermitianError),
+    ])
+    def test_one_bad_sample_fails_the_stack_as_it_fails_alone(self, bad, error):
+        with pytest.raises(error):
+            validate_density_matrix(bad)
+        stack = np.array([maximally_mixed(2)] * 5)
+        stack[3] = bad
+        for check in (validate_density_matrix, purity):
+            with pytest.raises(error, match="in sample 3"):
+                check(stack)
+
+    def test_single_matrix_entry_points_reject_stacks(self):
+        stack = self.states(23, n=3)
+        spectrum = eigendecompose(np.diag([0.0, 1.0, 2.0]))
+        for call in (
+            lambda: eigendecompose(stack),
+            lambda: GeneratorSpec(drive=stack),
+            lambda: born_predict(spectrum, stack),
+            lambda: project_to_physical(stack),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            validate_density_matrix(np.ones((2, 2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            trace_distance(np.ones((2, 3, 3)), np.eye(2))
 
 
 class TestProjectToPhysical:

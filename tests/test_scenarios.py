@@ -4,18 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frqme import (
+    DEFAULT_TOLS,
     PulseSpec,
     TIME_SERIES_COLUMNS,
     ValidationError,
+    build_generator,
     custom_scenario,
+    devectorize,
+    matrix_exponential,
     maximally_mixed,
     partial_trace,
     pure_density,
+    purity,
     qubit_state,
     single_qubit_scenario,
+    to_eigenbasis,
     trace_distance,
     two_qubit_scenario,
+    vectorize,
 )
+from frqme import _kernels
 from helpers import random_density, random_hermitian
 
 
@@ -66,6 +74,55 @@ ENTANGLED_PAIR_LIMIT = 0.25 * np.array(
     ],
     dtype=np.complex128,
 )
+
+
+def stepped_time_series(result, tol=DEFAULT_TOLS):
+    """Reference time series from grid propagation and per-sample operators.
+
+    Iterates one Liouville step propagator over the grid, then measures each
+    state on its own; the scenario runner must reproduce this from the
+    closed form.
+    """
+    grid_points = result.time_series.shape[0]
+    step = matrix_exponential(build_generator(result.generator, tol),
+                              result.t_max / (grid_points - 1))
+    grid = _kernels.propagate_grid(step, vectorize(result.initial), grid_points - 1)
+    labels = result.spectrum.group_labels()
+    cross = labels[:, None] != labels[None, :]
+    rows = []
+    for t, vec in zip(np.linspace(0.0, result.t_max, grid_points), grid):
+        rho = devectorize(vec)
+        coeffs = to_eigenbasis(result.spectrum, rho)
+        rows.append([
+            t,
+            purity(rho, tol),
+            float(np.abs(coeffs[cross]).max()) if cross.any() else 0.0,
+            trace_distance(rho, result.born.post_state),
+        ])
+    return np.array(rows)
+
+
+def near_degenerate_drive(seed):
+    """d = 8 drive with a 1e-3 gap, above the degeneracy threshold."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([-1.0, -0.5, 0.2, 0.201, 0.9, 1.4, 2.0, 2.6])
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    h = (q * levels) @ q.conj().T
+    return 0.5 * (h + h.conj().T), random_density(rng, 8)
+
+
+@pytest.mark.parametrize("make, groups", [
+    (lambda: single_qubit_scenario(0.8, 1.9, PulseSpec(kappa=12.0, tau_c=0.3),
+                                   grid_points=200), 2),
+    (lambda: two_qubit_scenario(PulseSpec(kappa=27.0), grid_points=1100), 2),
+    (lambda: custom_scenario(*near_degenerate_drive(5), tau_c=0.5, t_max=30.0,
+                             grid_points=700), 8),
+], ids=["single_qubit", "two_qubit", "custom_d8_near_degenerate"])
+def test_time_series_matches_stepped_propagation(make, groups):
+    result = make()
+    assert len(result.spectrum.groups) == groups
+    np.testing.assert_allclose(result.time_series, stepped_time_series(result),
+                               rtol=0, atol=1e-12)
 
 
 class TestPulseSpec:
