@@ -12,11 +12,11 @@ the corresponding superoperators, evolves states numerically and in closed
 form, extracts the asymptotic state, and compares it against the projective
 prediction sum_k P_k rho P_k with outcome weights Tr(P_k rho).
 
-Hot numeric kernels run through a compiled backend when available; set
-FRQME_BACKEND=numpy to force the plain implementation (see frqme._kernels).
+numpy is the only runtime dependency; the hot kernels (matrix exponential,
+grid propagation, entrywise eigenbasis evolution) are one plain numpy
+function each in frqme._kernels.
 """
 
-from ._kernels import BACKEND
 from .born import BornPrediction, ComparisonReport, born_predict, compare_to_prediction
 from .liouville import (
     GeneratorSpec,
@@ -74,7 +74,6 @@ from .verify import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BornPrediction",
     "CheckResult",
     "ComparisonReport",

@@ -1,26 +1,14 @@
-"""Hot numeric kernels, in two interchangeable flavors.
+"""Hot numeric kernels, each one plain numpy function.
 
-Each kernel exists as a vectorized pure-numpy function and as a
-loop-oriented numba ``@njit`` twin.  The active flavor is picked once at
-import time from the ``FRQME_BACKEND`` environment variable:
+* ``expm``                -- matrix exponential for the Liouville propagator
+* ``propagate_grid``      -- repeated application of one step propagator
+* ``evolve_coefficients`` -- the entrywise eigenbasis solution
+  ``a_ij(0) exp((-i D_ij - tau_c D_ij^2) t)`` with ``D_ij = l_i - l_j``
 
-* unset or ``auto`` -- numba when importable, numpy otherwise
-* ``numpy``         -- force the pure-numpy path
-* ``numba``         -- require numba; import fails loudly if it is missing
-
-``benchmarks/bench_kernels.py`` races the two flavors head to head.  The
-matrices handled here are tiny (Liouville dimension <= 256), a regime where
-jitted loops beat numpy's per-call overhead rather than its BLAS.
+The matrices handled here are small (Liouville dimension <= 256).
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
 
 # Taylor truncation order for the exponential core.  After the argument is
 # scaled to 1-norm <= 0.5 the remainder past 20 terms is below 1e-25, far
@@ -29,12 +17,9 @@ TAYLOR_TERMS = 20
 NORM_CUTOFF = 0.5
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy flavor
-# ---------------------------------------------------------------------------
-
-def expm_numpy(a):
+def expm(a):
     """exp(a) by scaling-and-squaring with a Horner-evaluated Taylor core."""
+    a = np.asarray(a, dtype=np.complex128)
     norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
     squarings = 0
     while norm > NORM_CUTOFF:
@@ -50,130 +35,20 @@ def expm_numpy(a):
     return r
 
 
-def propagate_grid_numpy(step, v0, count):
-    """Iterate ``v -> step @ v`` and stack the ``count + 1`` visited vectors."""
-    out = np.empty((count + 1, v0.size), dtype=np.complex128)
+def propagate_grid(step, v0, count):
+    """Stack ``v0, step@v0, ..., step^count @ v0`` as rows of one array."""
+    out = np.empty((count + 1, len(v0)), dtype=np.complex128)
     out[0] = v0
     for k in range(count):
         out[k + 1] = step @ out[k]
     return out
 
 
-def evolve_coefficients_numpy(a0, eigenvalues, tau_c, t):
-    """Scale each entry by its phase/decay factor for eigenvalue gaps."""
+def evolve_coefficients(a0, eigenvalues, tau_c, t):
+    """Apply ``exp((-i*dl - tau_c*dl^2) * t)`` entrywise, dl = lam_i - lam_j.
+
+    ``t`` is a scalar for one (d, d) result, or an (n, 1, 1) array of times
+    for an (n, d, d) stack.
+    """
     dl = eigenvalues[:, None] - eigenvalues[None, :]
     return a0 * np.exp((-1j * dl - tau_c * dl * dl) * t)
-
-
-# ---------------------------------------------------------------------------
-# numba flavor
-# ---------------------------------------------------------------------------
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def expm_numba(a):
-        n = a.shape[0]
-        norm = 0.0
-        for j in range(n):
-            col = 0.0
-            for i in range(n):
-                col += abs(a[i, j])
-            if col > norm:
-                norm = col
-        squarings = 0
-        while norm > NORM_CUTOFF:
-            norm *= 0.5
-            squarings += 1
-        b = a * (0.5 ** squarings)
-        eye = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            eye[i, i] = 1.0
-        r = eye.copy()
-        for k in range(TAYLOR_TERMS, 0, -1):
-            r = eye + (b @ r) / k
-        for _ in range(squarings):
-            r = r @ r
-        return r
-
-    @numba.njit(cache=True)
-    def propagate_grid_numba(step, v0, count):
-        out = np.empty((count + 1, v0.size), dtype=np.complex128)
-        out[0] = v0
-        for k in range(count):
-            out[k + 1] = step @ out[k]
-        return out
-
-    @numba.njit(cache=True)
-    def evolve_coefficients_numba(a0, eigenvalues, tau_c, t):
-        n = eigenvalues.size
-        out = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                dl = eigenvalues[i] - eigenvalues[j]
-                out[i, j] = a0[i, j] * np.exp((-1j * dl - tau_c * dl * dl) * t)
-        return out
-
-else:  # pragma: no cover
-    expm_numba = None
-    propagate_grid_numba = None
-    evolve_coefficients_numba = None
-
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "expm": expm_numpy,
-        "propagate_grid": propagate_grid_numpy,
-        "evolve_coefficients": evolve_coefficients_numpy,
-    },
-    "numba": None if numba is None else {
-        "expm": expm_numba,
-        "propagate_grid": propagate_grid_numba,
-        "evolve_coefficients": evolve_coefficients_numba,
-    },
-}
-
-
-def _pick_backend():
-    requested = os.environ.get("FRQME_BACKEND", "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"FRQME_BACKEND={requested!r} is not one of 'auto', 'numba', 'numpy'"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if numba is None:
-        if requested == "numba":
-            raise RuntimeError("FRQME_BACKEND=numba but numba is not importable")
-        return "numpy"
-    return "numba"
-
-
-BACKEND = _pick_backend()
-_ACTIVE = IMPLEMENTATIONS[BACKEND]
-
-
-def _as_cmatrix(a):
-    return np.ascontiguousarray(a, dtype=np.complex128)
-
-
-def expm(a):
-    """Matrix exponential of a square complex matrix via the active backend."""
-    return _ACTIVE["expm"](_as_cmatrix(a))
-
-
-def propagate_grid(step, v0, count):
-    """Stack ``v0, step@v0, ..., step^count @ v0`` as rows of one array."""
-    return _ACTIVE["propagate_grid"](
-        _as_cmatrix(step), np.ascontiguousarray(v0, dtype=np.complex128), int(count)
-    )
-
-
-def evolve_coefficients(a0, eigenvalues, tau_c, t):
-    """Apply ``exp((-i*dl - tau_c*dl^2) * t)`` entrywise, dl = lam_i - lam_j."""
-    return _ACTIVE["evolve_coefficients"](
-        _as_cmatrix(a0),
-        np.ascontiguousarray(eigenvalues, dtype=np.float64),
-        float(tau_c),
-        float(t),
-    )

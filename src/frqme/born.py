@@ -18,7 +18,6 @@ from .operators import (
     Tolerances,
     TraceDeviationError,
     ValidationError,
-    as_square_matrix,
     trace_distance,
     validate_density_matrix,
 )
@@ -37,9 +36,7 @@ class BornPrediction:
 
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:
     """Probabilities Tr(P_k rho) and the dephased state sum_k P_k rho P_k."""
-    rho = validate_density_matrix(as_square_matrix(rho0), tol)
-    if rho.shape[0] != spectrum.dim:
-        raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spectrum.dim}")
+    rho = spectrum.validate_state(rho0, tol)
     projectors = tuple(spectrum.projector(k) for k in range(len(spectrum.groups)))
     probabilities = np.array([np.trace(p @ rho).real for p in projectors], dtype=np.float64)
     total = float(probabilities.sum())
@@ -47,9 +44,6 @@ def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> Bo
         raise TraceDeviationError(f"probabilities sum to {total:.17g}, not 1")
     probabilities = np.clip(probabilities, 0.0, 1.0)
     probabilities /= probabilities.sum()
-    post = np.zeros_like(rho)
-    for p in projectors:
-        post += p @ rho @ p
     eigs = np.array(
         [spectrum.group_eigenvalue(k) for k in range(len(spectrum.groups))],
         dtype=np.float64,
@@ -57,7 +51,7 @@ def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> Bo
     return BornPrediction(
         projectors=projectors,
         probabilities=probabilities,
-        post_state=post,
+        post_state=spectrum.dephase(rho),
         group_eigenvalues=eigs,
     )
 

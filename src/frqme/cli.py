@@ -16,10 +16,6 @@ version is stamped in the result document, never a timestamp.
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 validation failure, 3 comparison failure against the measurement
 prediction.
-
-The environment variable ``FRQME_SEED`` is reserved for future stochastic
-features (e.g. sampled measurement records); it is currently read by
-nothing and documented here so scripts can set it today without effect.
 """
 
 from __future__ import annotations
@@ -261,15 +257,15 @@ def _result_document(config: dict, tol: Tolerances, result, t_max: float, report
     scenario = config["scenario"]
     spectrum = result.spectrum
     ct = convergence_time(spectrum, config["tau_c"], config["eps_converge"])
-    groups = []
-    for k, members in enumerate(spectrum.groups):
-        projector = spectrum.projector(k)
-        groups.append({
+    groups = [
+        {
             "eigenvalue": spectrum.group_eigenvalue(k),
             "indices": list(members),
             "probability": float(result.born.probabilities[k]),
-            "simulated_weight": float(np.trace(projector @ result.final_numeric).real),
-        })
+            "simulated_weight": report.probability_table[k][1],
+        }
+        for k, members in enumerate(spectrum.groups)
+    ]
     pulse_like = scenario in ("single_qubit", "two_qubit")
     parameters = {
         "theta": config["theta"] if scenario == "single_qubit" else None,
@@ -423,8 +419,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="frqme",
         description="Driven-dissipative evolution with measurement-prediction checks.",
-        epilog="FRQME_SEED is reserved for future stochastic features and is "
-               "currently unused.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 
@@ -44,7 +45,8 @@ class Tolerances:
     threshold is ``degeneracy * (span + 1)`` where span is the spectral
     range, see :meth:`degeneracy_threshold`.  Zero values are accepted (they
     turn every check into a hard failure, which the self-check command uses
-    to demonstrate its failure path); negative values are rejected.
+    to demonstrate its failure path); negative and non-finite values are
+    rejected.
     """
 
     herm: float = 1e-10
@@ -56,8 +58,10 @@ class Tolerances:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not (value >= 0.0):
-                raise ValueError(f"tolerance {field.name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"tolerance {field.name} must be finite and >= 0, got {value}"
+                )
 
     def degeneracy_threshold(self, eigenvalues) -> float:
         span = float(np.max(eigenvalues) - np.min(eigenvalues)) if len(eigenvalues) else 0.0

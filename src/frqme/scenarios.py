@@ -16,6 +16,7 @@ import dataclasses
 
 import numpy as np
 
+from . import _kernels
 from .born import BornPrediction, born_predict
 from .liouville import GeneratorSpec, build_generator, devectorize, matrix_exponential, vectorize
 from .operators import (
@@ -31,7 +32,7 @@ from .operators import (
     trace_distance,
     validate_density_matrix,
 )
-from .spectral import Spectrum, analytic_evolve, asymptotic_state, eigendecompose, to_eigenbasis
+from .spectral import Spectrum, analytic_evolve, eigendecompose, to_eigenbasis
 
 TIME_SERIES_COLUMNS = ("t", "purity", "max_cross_group_coherence", "trace_distance_to_born")
 
@@ -81,7 +82,8 @@ class ScenarioResult:
     by TIME_SERIES_COLUMNS, computed from the entrywise eigenbasis solution
     with every sample validated as a density matrix.  ``final_numeric``
     comes from one full-interval matrix exponential, ``final_analytic`` from
-    the entrywise eigenbasis solution, ``asymptotic`` from the projector sum.
+    the entrywise eigenbasis solution; ``asymptotic`` is the projector sum,
+    the same array as ``born.post_state``.
     """
 
     initial: np.ndarray
@@ -118,17 +120,16 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     # Closed form in the eigenbasis: a_ij(t) = a_ij(0) exp((-i D_ij - tau_c D_ij^2) t).
     # Purity and trace distance are unitarily invariant, so they are taken
     # on the coefficients directly.
-    d = spectrum.dim
     a0 = to_eigenbasis(spectrum, rho0)
     born_coeffs = to_eigenbasis(spectrum, born.post_state)
-    dl = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    rates = (-1j * dl - spec.tau_c * dl * dl).reshape(-1)
 
     series = np.empty((grid_points, len(TIME_SERIES_COLUMNS)), dtype=np.float64)
     series[:, 0] = np.linspace(0.0, t_max, grid_points)
     for start in range(0, grid_points, _BLOCK):
         rows = series[start:start + _BLOCK]
-        coeffs = np.exp(np.outer(rows[:, 0], rates)).reshape(-1, d, d) * a0
+        coeffs = _kernels.evolve_coefficients(
+            a0, spectrum.eigenvalues, spec.tau_c, rows[:, 0, None, None]
+        )
         rows[:, 1] = purity(coeffs, tol)
         rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
         rows[:, 3] = trace_distance(coeffs, born_coeffs)
@@ -138,13 +139,12 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     )
     final_numeric = validate_density_matrix(final_numeric, tol)
     final_analytic = analytic_evolve(spectrum, rho0, spec.tau_c, t_max, tol)
-    asymptotic = asymptotic_state(spectrum, rho0, tol)
 
     return ScenarioResult(
         initial=rho0,
         final_numeric=final_numeric,
         final_analytic=final_analytic,
-        asymptotic=asymptotic,
+        asymptotic=born.post_state,
         born=born,
         spectrum=spectrum,
         generator=spec,

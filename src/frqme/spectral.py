@@ -53,6 +53,21 @@ class Spectrum:
         cols = self.eigenvectors[:, list(self.groups[k])]
         return cols @ cols.conj().T
 
+    def dephase(self, rho: np.ndarray) -> np.ndarray:
+        """The projector sum sum_k P_k rho P_k over the degenerate groups."""
+        out = np.zeros_like(rho)
+        for k in range(len(self.groups)):
+            p = self.projector(k)
+            out += p @ rho @ p
+        return out
+
+    def validate_state(self, rho0, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+        """Check rho0 is a density matrix of the drive's dimension; return it."""
+        rho = validate_density_matrix(as_square_matrix(rho0), tol)
+        if rho.shape[0] != self.dim:
+            raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {self.dim}")
+        return rho
+
     def group_labels(self) -> np.ndarray:
         """Label array mapping each eigenvector index to its group number."""
         labels = np.empty(self.dim, dtype=np.intp)
@@ -98,9 +113,7 @@ def from_eigenbasis(spectrum: Spectrum, coeffs) -> np.ndarray:
 def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closed-form state at time t from the entrywise eigenbasis solution."""
-    rho = validate_density_matrix(as_square_matrix(rho0), tol)
-    if rho.shape[0] != spectrum.dim:
-        raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spectrum.dim}")
+    rho = spectrum.validate_state(rho0, tol)
     if not (float(tau_c) >= 0.0):
         raise ValidationError(f"tau_c must be >= 0, got {tau_c}")
     if not (float(t) >= 0.0):
@@ -117,14 +130,7 @@ def asymptotic_state(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -
     eigenvector grouping; equals rho0 itself when the drive is fully
     degenerate (a single group).
     """
-    rho = validate_density_matrix(as_square_matrix(rho0), tol)
-    if rho.shape[0] != spectrum.dim:
-        raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spectrum.dim}")
-    out = np.zeros_like(rho)
-    for k in range(len(spectrum.groups)):
-        p = spectrum.projector(k)
-        out += p @ rho @ p
-    return out
+    return spectrum.dephase(spectrum.validate_state(rho0, tol))
 
 
 def convergence_time(spectrum: Spectrum, tau_c: float, eps: float) -> float:

@@ -31,6 +31,7 @@ from .operators import (
     SIGMA_Y,
     Tolerances,
     ValidationError,
+    bell_amplitudes,
     pure_density,
     qubit_state,
     tensor_product,
@@ -150,9 +151,7 @@ def _check_two_qubit_pulse_oracles(tol: Tolerances):
     drive = 0.5 * tensor_product(SIGMA_Y, eye)
     spec = GeneratorSpec(drive=drive, tau_c=1.0)
     spectrum = eigendecompose(drive, tol)
-    rho0 = pure_density(
-        np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2.0), tol
-    )
+    rho0 = pure_density(bell_amplitudes(), tol)
 
     late = propagate(spec, rho0, 20.0, tol)
     err_late = _max_entry_error(late, _two_qubit_expected())
@@ -251,7 +250,7 @@ def _check_born_probability_formulas(tol: Tolerances):
 
     eye = np.eye(2, dtype=np.complex128)
     spectrum2 = eigendecompose(0.5 * tensor_product(SIGMA_Y, eye), tol)
-    bell = pure_density(np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2.0), tol)
+    bell = pure_density(bell_amplitudes(), tol)
     weights = born_predict(spectrum2, bell, tol).probabilities
     worst_pair = float(np.abs(weights - 0.5).max())
 
@@ -359,7 +358,7 @@ def _check_repeated_pulse_fixed_point(tol: Tolerances):
         (0.5 * SIGMA_Y, pure_density(qubit_state(np.pi / 2.0, np.pi / 4.0), tol)),
         (
             0.5 * tensor_product(SIGMA_Y, eye),
-            pure_density(np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2.0), tol),
+            pure_density(bell_amplitudes(), tol),
         ),
     )
     worst = 0.0

@@ -181,6 +181,12 @@ class TestConfigErrors:
     def test_eps_out_of_range(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--set", "eps_converge=2") == 1
 
+    @pytest.mark.parametrize("key", ["herm", "compare"])
+    def test_infinite_tolerance(self, tmp_path, key):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", f"tolerances.{key}=Infinity") == 1
+        assert not (out / "result.json").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
 

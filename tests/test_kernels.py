@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -107,6 +103,15 @@ def test_evolve_coefficients_matches_direct_formula():
         expected, rtol=1e-14, atol=1e-14,
     )
 
+    # an (n, 1, 1) time array gives the (n, d, d) stack of per-time results
+    times = np.array([0.0, 0.4, t, 11.0])
+    stack = _kernels.evolve_coefficients(a0, eigenvalues, tau_c, times[:, None, None])
+    assert stack.shape == (4, 5, 5)
+    for k, tk in enumerate(times):
+        np.testing.assert_array_equal(
+            stack[k], _kernels.evolve_coefficients(a0, eigenvalues, tau_c, tk)
+        )
+
 
 def test_evolve_coefficients_diagonal_is_invariant():
     rng = np.random.default_rng(4)
@@ -114,71 +119,3 @@ def test_evolve_coefficients_diagonal_is_invariant():
     eigenvalues = np.linspace(-2.0, 2.0, 6)
     out = _kernels.evolve_coefficients(a0, eigenvalues, 3.0, 100.0)
     np.testing.assert_allclose(np.diagonal(out), np.diagonal(a0), rtol=0, atol=1e-15)
-
-
-NUMBA_MISSING = _kernels.IMPLEMENTATIONS["numba"] is None
-
-
-@pytest.mark.skipif(NUMBA_MISSING, reason="numba backend not available")
-class TestBackendParity:
-    """The compiled and plain flavors must agree to roundoff."""
-
-    def test_expm_parity(self):
-        rng = np.random.default_rng(21)
-        for dim in (2, 4, 9, 16):
-            a = np.ascontiguousarray(random_complex(rng, dim, 3.0))
-            np.testing.assert_allclose(
-                _kernels.IMPLEMENTATIONS["numba"]["expm"](a),
-                _kernels.IMPLEMENTATIONS["numpy"]["expm"](a),
-                rtol=1e-13, atol=1e-13,
-            )
-
-    def test_propagate_grid_parity(self):
-        rng = np.random.default_rng(22)
-        step = np.ascontiguousarray(random_complex(rng, 9, 0.4))
-        v0 = np.ascontiguousarray(rng.standard_normal(9) + 0j)
-        np.testing.assert_allclose(
-            _kernels.IMPLEMENTATIONS["numba"]["propagate_grid"](step, v0, 12),
-            _kernels.IMPLEMENTATIONS["numpy"]["propagate_grid"](step, v0, 12),
-            rtol=1e-13, atol=1e-13,
-        )
-
-    def test_evolve_coefficients_parity(self):
-        rng = np.random.default_rng(23)
-        a0 = np.ascontiguousarray(random_complex(rng, 6))
-        eigenvalues = np.ascontiguousarray(np.sort(rng.standard_normal(6)))
-        np.testing.assert_allclose(
-            _kernels.IMPLEMENTATIONS["numba"]["evolve_coefficients"](a0, eigenvalues, 0.9, 4.0),
-            _kernels.IMPLEMENTATIONS["numpy"]["evolve_coefficients"](a0, eigenvalues, 0.9, 4.0),
-            rtol=1e-13, atol=1e-13,
-        )
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("FRQME_BACKEND", None)
-    else:
-        env["FRQME_BACKEND"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import frqme; print(frqme.BACKEND)"],
-        capture_output=True, text=True, env=env,
-    )
-
-
-def test_env_var_forces_plain_backend():
-    proc = _backend_in_subprocess("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_env_var_rejects_unknown_backend():
-    proc = _backend_in_subprocess("bogus")
-    assert proc.returncode != 0
-    assert "FRQME_BACKEND" in proc.stderr
-
-
-def test_default_backend_is_valid():
-    proc = _backend_in_subprocess(None)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() in ("numba", "numpy")

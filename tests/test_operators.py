@@ -43,8 +43,9 @@ class TestTolerances:
         Tolerances(trace=0.0)
         with pytest.raises(ValueError):
             Tolerances(psd=-1e-12)
-        with pytest.raises(ValueError):
-            Tolerances(herm=float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Tolerances(herm=bad)
 
     def test_degeneracy_threshold_scales_with_span(self):
         tol = Tolerances()
