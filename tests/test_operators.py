@@ -47,6 +47,12 @@ class TestTolerances:
             with pytest.raises(ValueError):
                 Tolerances(herm=bad)
 
+    @pytest.mark.parametrize("field", ["herm", "trace", "psd", "compare", "degeneracy"])
+    def test_every_field_rejects_non_finite(self, field):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=field):
+                Tolerances(**{field: bad})
+
     def test_degeneracy_threshold_scales_with_span(self):
         tol = Tolerances()
         assert tol.degeneracy_threshold(np.array([0.0])) == pytest.approx(1e-9)

@@ -168,6 +168,10 @@ class TestSingleQubitScenario:
         np.testing.assert_allclose(result.final_numeric, expected, atol=1e-12)
         np.testing.assert_allclose(result.final_analytic, expected, atol=1e-12)
 
+    def test_asymptotic_state_is_born_post_state(self):
+        result = single_qubit_scenario(0.6, 1.1, PulseSpec(kappa=1.5), grid_points=2)
+        assert result.asymptotic is result.born.post_state
+
     def test_born_probabilities(self):
         theta, phi = 1.3, 0.4
         result = single_qubit_scenario(theta, phi, PulseSpec(kappa=2.0), grid_points=2)

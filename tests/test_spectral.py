@@ -146,6 +146,40 @@ class TestAnalyticEvolve:
             analytic_evolve(spectrum, maximally_mixed(3), 1.0, 1.0)
 
 
+class TestSpectrumStateMethods:
+    def test_dephase_zeroes_cross_group_blocks_only(self):
+        rng = np.random.default_rng(12)
+        spectrum = eigendecompose(np.diag([2.0, -1.0, 2.0, 0.5]))
+        rho = random_density(rng, 4)
+        before = to_eigenbasis(spectrum, rho)
+        after = to_eigenbasis(spectrum, spectrum.dephase(rho))
+        labels = spectrum.group_labels()
+        same_group = labels[:, None] == labels[None, :]
+        np.testing.assert_allclose(after[same_group], before[same_group], atol=1e-13)
+        np.testing.assert_allclose(after[~same_group], 0.0, atol=1e-13)
+
+    def test_dephase_is_idempotent_and_matches_asymptotic_state(self):
+        rng = np.random.default_rng(13)
+        spectrum = eigendecompose(random_hermitian(rng, 5))
+        rho = random_density(rng, 5)
+        once = spectrum.dephase(rho)
+        np.testing.assert_allclose(spectrum.dephase(once), once, atol=1e-13)
+        np.testing.assert_array_equal(asymptotic_state(spectrum, rho), once)
+
+    def test_validate_state_returns_complex_matrix(self):
+        spectrum = eigendecompose(np.diag([0.0, 1.0]))
+        rho = spectrum.validate_state([[0.25, 0.0], [0.0, 0.75]])
+        assert rho.dtype == np.complex128
+        np.testing.assert_array_equal(rho, np.diag([0.25, 0.75]))
+
+    def test_validate_state_rejects_wrong_dimension_and_invalid_state(self):
+        spectrum = eigendecompose(np.diag([0.0, 1.0]))
+        with pytest.raises(ValidationError):
+            spectrum.validate_state(maximally_mixed(3))
+        with pytest.raises(ValidationError):
+            spectrum.validate_state(np.diag([0.5, 0.6]))
+
+
 class TestAsymptoticState:
     def test_is_projection_sum_fixed_point(self):
         rng = np.random.default_rng(6)
