@@ -18,15 +18,20 @@ NORM_CUTOFF = 0.5
 
 
 def expm(a):
-    """exp(a) by scaling-and-squaring with a Horner-evaluated Taylor core."""
-    a = np.asarray(a, dtype=np.complex128)
+    """exp(a) by scaling-and-squaring with a Horner-evaluated Taylor core.
+
+    Real input is computed and returned as float64, anything else as
+    complex128.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
     norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
     squarings = 0
     while norm > NORM_CUTOFF:
         norm *= 0.5
         squarings += 1
     b = a * (0.5 ** squarings)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     r = eye.copy()
     for k in range(TAYLOR_TERMS, 0, -1):
         r = eye + (b @ r) / k

@@ -10,6 +10,7 @@ long-time state comes to that prediction.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -89,8 +90,8 @@ def compare_to_prediction(rho_sim, prediction: BornPrediction,
             f"state shape {rho.shape} differs from prediction {prediction.post_state.shape}"
         )
     threshold = tol.compare if compare_tol is None else float(compare_tol)
-    if not (threshold >= 0.0):
-        raise ValidationError(f"comparison tolerance must be >= 0, got {threshold}")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValidationError(f"comparison tolerance must be finite and >= 0, got {threshold}")
     td = trace_distance(rho, prediction.post_state)
     entry = float(np.abs(rho - prediction.post_state).max())
     rows = []

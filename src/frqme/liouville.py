@@ -9,11 +9,16 @@ dissipation whose strength is the drive correlation time:
 
 Optional extra double-commutator channels model additional fluctuating
 fields with their own strengths.
+
+The generator maps Hermitian matrices to Hermitian matrices, so states are
+propagated in the real coordinates x = (rho_ii, Re rho_ij, Im rho_ij for
+i < j), where its exponential is a real matrix.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -44,11 +49,18 @@ def devectorize(vec) -> np.ndarray:
     return v.reshape(d, d).T.copy()
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron for two d x d matrices, as one broadcast product: the same
+    # entrywise products without np.kron's per-call overhead.
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def commutator_superop(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Matrix of rho -> [H, rho] in column-stacked form: I kron H - H^T kron I."""
     hm = require_hermitian(as_square_matrix(h), tol)
     eye = np.eye(hm.shape[0], dtype=np.complex128)
-    return np.kron(eye, hm) - np.kron(hm.T, eye)
+    return _kron(eye, hm) - _kron(hm.T, eye)
 
 
 def double_commutator_superop(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -94,16 +106,21 @@ class GeneratorSpec:
 
 def build_generator(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Full d^2 x d^2 generator: -i L1(H) - tau_c L1(H)^2 - sum_k s_k L1(A_k)^2."""
-    gen = -1j * commutator_superop(spec.drive, tol)
-    gen -= spec.tau_c * double_commutator_superop(spec.drive, tol)
+    l1 = commutator_superop(spec.drive, tol)
+    gen = -1j * l1
+    gen -= spec.tau_c * (l1 @ l1)
     for op, strength in spec.extra_dissipators:
         gen -= strength * double_commutator_superop(op, tol)
     return gen
 
 
 def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
-    """exp(m * t) via scaling-and-squaring with a Taylor core."""
-    a = np.asarray(m, dtype=np.complex128)
+    """exp(m * t) via scaling-and-squaring with a Taylor core.
+
+    A real ``m`` gives a float64 result, anything else complex128.
+    """
+    a = np.asarray(m)
+    a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -119,9 +136,61 @@ def propagate(spec: GeneratorSpec, rho0, t: float, tol: Tolerances = DEFAULT_TOL
     rho = validate_density_matrix(rho0, tol)
     if rho.shape[0] != spec.dim:
         raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spec.dim}")
-    prop = matrix_exponential(build_generator(spec, tol), t)
-    out = devectorize(prop @ vectorize(rho))
+    out = _propagate_hermitian(build_generator(spec, tol), rho, t)
     return project_to_physical(out, tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(d: int):
+    """Index arrays that pass between vec(rho) and the real coordinates x.
+
+    The k = d(d+1)/2 entries (i, j), i <= j, diagonal first, sit at vec
+    indices ``upper``; their mirror images (j, i) at ``lower``.  Coordinate
+    c of x reads vec index ``cols[c]`` (and ``mirror[c]``): the diagonal,
+    then the off-diagonal pairs twice, once for Re and once for Im.
+    ``sign`` is 0, +1, -1 on those three runs.
+    """
+    off_i, off_j = np.triu_indices(d, 1)
+    i = np.concatenate((np.arange(d), off_i))
+    j = np.concatenate((np.arange(d), off_j))
+    upper = j * d + i
+    lower = i * d + j
+    cols = np.concatenate((upper, upper[d:]))
+    mirror = np.concatenate((lower, lower[d:]))
+    m = off_i.size
+    sign = np.concatenate((np.zeros(d), np.ones(m), -np.ones(m)))
+    arrays = (upper, lower, cols, mirror, sign)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _propagate_hermitian(gen: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+    """exp(gen * t) applied to a Hermitian rho, with a float64 exponential.
+
+    With T the map x -> vec(rho) (entries 0, +-1, +-i), the generator in
+    real coordinates is G_r = T^-1 gen T.  The columns of gen T are gen[:, ij]
+    for rho_ii, gen[:, ij] + gen[:, ji] for Re rho_ij and
+    i (gen[:, ij] - gen[:, ji]) for Im rho_ij; since their images are
+    Hermitian, T^-1 only reads the upper triangle: its real part, and the
+    imaginary part off the diagonal.  Every factor is a power of two, so
+    the change of coordinates itself is exact.
+    """
+    d = rho.shape[0]
+    k = d * (d + 1) // 2
+    upper, lower, cols, mirror, sign = _hermitian_coordinates(d)
+    gt = gen[upper[:, None], cols]
+    gt += sign * gen[upper[:, None], mirror]
+    gt[:, k:] *= 1j
+    g_real = np.concatenate((gt.real, gt.imag[d:]))
+    v = vectorize(rho)[upper]
+    x = matrix_exponential(g_real, t) @ np.concatenate((v.real, v.imag[d:]))
+    z = x[:k] + 0j
+    z.imag[d:] = x[k:]
+    out = np.empty(d * d, dtype=np.complex128)
+    out[lower] = z.conj()
+    out[upper] = z
+    return devectorize(out)
 
 
 def choi_matrix(superop) -> np.ndarray:

@@ -110,7 +110,9 @@ def _sample(index: tuple) -> str:
 
 
 def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
-    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    # inf - inf is nan, which the callers' `not (defect <= tol)` rejects
+    with np.errstate(invalid="ignore"):
+        return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def hermiticity_defect(m) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .born import BornPrediction, born_predict
-from .liouville import GeneratorSpec, build_generator, devectorize, matrix_exponential, vectorize
+from .liouville import GeneratorSpec, _propagate_hermitian, build_generator
 from .operators import (
     DEFAULT_TOLS,
     SIGMA_Y,
@@ -134,9 +134,7 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
         rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
         rows[:, 3] = trace_distance(coeffs, born_coeffs)
 
-    final_numeric = devectorize(
-        matrix_exponential(build_generator(spec, tol), t_max) @ vectorize(rho0)
-    )
+    final_numeric = _propagate_hermitian(build_generator(spec, tol), rho0, t_max)
     final_numeric = validate_density_matrix(final_numeric, tol)
     final_analytic = analytic_evolve(spectrum, rho0, spec.tau_c, t_max, tol)
 

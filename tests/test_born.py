@@ -118,6 +118,13 @@ class TestCompareToPrediction:
         assert loose.passed
         assert strict.tol == 1e-8
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1e-3])
+    def test_rejects_invalid_threshold(self, bad):
+        rng = np.random.default_rng(8)
+        rho, prediction, _ = self._prediction(rng)
+        with pytest.raises(ValidationError):
+            compare_to_prediction(rho, prediction, compare_tol=bad)
+
     def test_probability_table_rows(self):
         rng = np.random.default_rng(5)
         rho, prediction, spectrum = self._prediction(rng)

@@ -65,6 +65,14 @@ class TestSuperoperators:
         expected = h @ (h @ rho - rho @ h) - (h @ rho - rho @ h) @ h
         np.testing.assert_allclose(out, expected, atol=1e-13)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_commutator_equals_kron_form_bit_for_bit(self, dim):
+        h = random_hermitian(np.random.default_rng(20 + dim), dim)
+        eye = np.eye(dim, dtype=np.complex128)
+        np.testing.assert_array_equal(
+            commutator_superop(h), np.kron(eye, h) - np.kron(h.T, eye)
+        )
+
     def test_commutator_requires_hermitian(self):
         with pytest.raises(NonHermitianError):
             commutator_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -154,6 +162,14 @@ class TestMatrixExponential:
         with pytest.raises(ValidationError):
             matrix_exponential(np.eye(2), np.inf)
 
+    def test_real_input_stays_float64(self):
+        rng = np.random.default_rng(10)
+        m = rng.standard_normal((6, 6))
+        out = matrix_exponential(m, 0.7)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, matrix_exponential(m.astype(np.complex128), 0.7),
+                                   rtol=0, atol=1e-13)
+
     def test_time_scaling(self):
         gen = build_generator(GeneratorSpec(drive=0.5 * SIGMA_X, tau_c=0.3))
         np.testing.assert_allclose(
@@ -191,6 +207,28 @@ class TestPropagate:
         rho = pure_density(qubit_state(0.0, 0.0))
         spec = GeneratorSpec(drive=np.diag([1.0, -1.0]).astype(np.complex128), tau_c=2.0)
         np.testing.assert_allclose(propagate(spec, rho, 5.0), rho, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [0.3, 25.0])
+    @pytest.mark.parametrize("extras", [0, 2])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_matches_complex_liouville_exponential(self, dim, extras, t):
+        # the complex matrix-unit propagator is the oracle; random extra
+        # dissipators do not commute with the drive
+        rng = np.random.default_rng(100 * dim + extras)
+        spec = GeneratorSpec(
+            drive=random_hermitian(rng, dim), tau_c=0.4,
+            extra_dissipators=tuple((random_hermitian(rng, dim), 0.3) for _ in range(extras)),
+        )
+        rho = random_density(rng, dim)
+        oracle = devectorize(matrix_exponential(build_generator(spec), t) @ vectorize(rho))
+        assert np.abs(propagate(spec, rho, t) - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_output_is_exactly_hermitian(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        spec = GeneratorSpec(drive=random_hermitian(rng, dim), tau_c=0.8)
+        out = propagate(spec, random_density(rng, dim), 1.9)
+        np.testing.assert_array_equal(out, out.conj().T)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 4]),

@@ -285,6 +285,17 @@ class TestCustomScenario:
         np.testing.assert_allclose(custom.final_numeric, builtin.final_numeric, atol=1e-14)
         np.testing.assert_allclose(custom.time_series, builtin.time_series, atol=1e-14)
 
+    def test_numeric_endpoint_is_hermitian_and_matches_closed_form(self):
+        rng = np.random.default_rng(5)
+        levels = np.array([-1.0, -1.0, 0.0, 0.5, 0.5, 0.5, 1.5, 2.0])
+        u = np.linalg.qr(random_hermitian(rng, 8) + 3j * np.eye(8))[0]
+        h = (u * levels) @ u.conj().T
+        result = custom_scenario(h, random_density(rng, 8), tau_c=0.7, t_max=30.0,
+                                 grid_points=3)
+        final = result.final_numeric
+        np.testing.assert_array_equal(final, final.conj().T)
+        assert np.abs(final - result.final_analytic).max() <= 1e-12
+
     def test_rejects_tiny_grid(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValidationError):
