@@ -12,9 +12,10 @@ the corresponding superoperators, evolves states numerically and in closed
 form, extracts the asymptotic state, and compares it against the projective
 prediction sum_k P_k rho P_k with outcome weights Tr(P_k rho).
 
-numpy is the only runtime dependency; the hot kernels (matrix exponential,
-grid propagation, entrywise eigenbasis evolution) are one plain numpy
-function each in frqme._kernels.
+numpy is the only runtime dependency; the kernels in frqme._kernels are one
+plain numpy function each: the matrix exponential and the entrywise
+eigenbasis evolution on the production path, and grid propagation, which
+only the tests use as the reference for the scenario time series.
 """
 
 from .born import BornPrediction, ComparisonReport, born_predict, compare_to_prediction

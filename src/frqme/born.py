@@ -35,25 +35,25 @@ class BornPrediction:
     group_eigenvalues: np.ndarray
 
 
+def _weights(projectors: tuple, rho: np.ndarray) -> np.ndarray:
+    """Tr(P_k rho) for each projector P_k."""
+    return np.array([np.trace(p @ rho).real for p in projectors], dtype=np.float64)
+
+
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:
     """Probabilities Tr(P_k rho) and the dephased state sum_k P_k rho P_k."""
     rho = spectrum.validate_state(rho0, tol)
-    projectors = tuple(spectrum.projector(k) for k in range(len(spectrum.groups)))
-    probabilities = np.array([np.trace(p @ rho).real for p in projectors], dtype=np.float64)
+    probabilities = _weights(spectrum.projectors, rho)
     total = float(probabilities.sum())
     if abs(total - 1.0) > tol.trace:
         raise TraceDeviationError(f"probabilities sum to {total:.17g}, not 1")
     probabilities = np.clip(probabilities, 0.0, 1.0)
     probabilities /= probabilities.sum()
-    eigs = np.array(
-        [spectrum.group_eigenvalue(k) for k in range(len(spectrum.groups))],
-        dtype=np.float64,
-    )
     return BornPrediction(
-        projectors=projectors,
+        projectors=spectrum.projectors,
         probabilities=probabilities,
         post_state=spectrum.dephase(rho),
-        group_eigenvalues=eigs,
+        group_eigenvalues=spectrum.group_eigenvalues,
     )
 
 
@@ -94,15 +94,16 @@ def compare_to_prediction(rho_sim, prediction: BornPrediction,
         raise ValidationError(f"comparison tolerance must be finite and >= 0, got {threshold}")
     td = trace_distance(rho, prediction.post_state)
     entry = float(np.abs(rho - prediction.post_state).max())
-    rows = []
-    for k, p in enumerate(prediction.projectors):
-        weight = float(np.trace(p @ rho).real)
-        rows.append((f"group_{k}", weight, float(prediction.probabilities[k])))
+    weights = _weights(prediction.projectors, rho)
+    rows = tuple(
+        (f"group_{k}", float(w), float(p))
+        for k, (w, p) in enumerate(zip(weights, prediction.probabilities))
+    )
     passed = bool(td <= threshold and entry <= threshold)
     return ComparisonReport(
         trace_distance=td,
         max_entry_deviation=entry,
-        probability_table=tuple(rows),
+        probability_table=rows,
         tol=threshold,
         passed=passed,
     )

@@ -89,13 +89,13 @@ def default_config() -> dict:
 
 
 def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+    """Merge override into base in place (nested dicts key by key); return base."""
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _merge(base[key], value)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            base[key] = value
+    return base
 
 
 def _apply_set(config: dict, assignment: str) -> None:
@@ -259,7 +259,7 @@ def _result_document(config: dict, tol: Tolerances, result, t_max: float, report
     ct = convergence_time(spectrum, config["tau_c"], config["eps_converge"])
     groups = [
         {
-            "eigenvalue": spectrum.group_eigenvalue(k),
+            "eigenvalue": float(spectrum.group_eigenvalues[k]),
             "indices": list(members),
             "probability": float(result.born.probabilities[k]),
             "simulated_weight": report.probability_table[k][1],

@@ -135,9 +135,23 @@ def require_hermitian(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     return a
 
 
-def trace(m) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(as_square_matrix(m)))
+def _require_unit_trace(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    i = _first_failure(np.abs(tr - 1.0) <= tol.trace)
+    if i is not None:
+        raise TraceDeviationError(
+            f"trace {tr[i]:.17g}{_sample(i)} deviates from 1 beyond {tol.trace:.3e}"
+        )
+    return a
+
+
+def _require_psd(smallest, tol: Tolerances) -> None:
+    """Check the smallest eigenvalue (one per sample) against -tol.psd."""
+    i = _first_failure(smallest >= -tol.psd)
+    if i is not None:
+        raise NegativeEigenvalueError(
+            f"smallest eigenvalue {smallest[i]:.3e}{_sample(i)} is below -{tol.psd:.3e}"
+        )
 
 
 def validate_density_matrix(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -148,19 +162,8 @@ def validate_density_matrix(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     NegativeEigenvalueError depending on which invariant fails first; the
     checks are NaN-safe, so a non-finite state never passes.
     """
-    a = require_hermitian(m, tol)
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    i = _first_failure(np.abs(tr - 1.0) <= tol.trace)
-    if i is not None:
-        raise TraceDeviationError(
-            f"trace {tr[i]:.17g}{_sample(i)} deviates from 1 beyond {tol.trace:.3e}"
-        )
-    smallest = np.linalg.eigvalsh(a)[..., 0]
-    i = _first_failure(smallest >= -tol.psd)
-    if i is not None:
-        raise NegativeEigenvalueError(
-            f"smallest eigenvalue {smallest[i]:.3e}{_sample(i)} is below -{tol.psd:.3e}"
-        )
+    a = _require_unit_trace(require_hermitian(m, tol), tol)
+    _require_psd(np.linalg.eigvalsh(a)[..., 0], tol)
     return a
 
 
@@ -170,11 +173,13 @@ def project_to_physical(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     Roundoff-sized blemishes are repaired: the matrix is symmetrized,
     eigenvalues in ``[-psd, 0)`` are clamped to zero (logged at debug level)
     and the trace is renormalized.  Violations beyond the tolerances are
-    hard errors, so genuine bugs are not papered over.
+    hard errors, so genuine bugs are not papered over.  The positivity
+    check reads the one eigendecomposition the repair needs.
     """
-    a = validate_density_matrix(as_square_matrix(m), tol)
+    a = _require_unit_trace(require_hermitian(as_square_matrix(m), tol), tol)
     a = 0.5 * (a + a.conj().T)
     evals, vecs = np.linalg.eigh(a)
+    _require_psd(evals[0], tol)
     if evals[0] < 0.0:
         log.debug(
             "clamping %d negative eigenvalue(s) >= %.3e to zero",

@@ -97,11 +97,6 @@ class ScenarioResult:
     time_series: np.ndarray
 
 
-def _cross_group_mask(spectrum: Spectrum) -> np.ndarray:
-    labels = spectrum.group_labels()
-    return labels[:, None] != labels[None, :]
-
-
 def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
                   tol: Tolerances) -> ScenarioResult:
     if int(grid_points) < 2:
@@ -115,7 +110,7 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     spec = GeneratorSpec(drive=h, tau_c=tau_c)
     spectrum = eigendecompose(spec.drive, tol)
     born = born_predict(spectrum, rho0, tol)
-    cross = _cross_group_mask(spectrum)
+    cross = spectrum.labels[:, None] != spectrum.labels[None, :]
 
     # Closed form in the eigenbasis: a_ij(t) = a_ij(0) exp((-i D_ij - tau_c D_ij^2) t).
     # Purity and trace distance are unitarily invariant, so they are taken

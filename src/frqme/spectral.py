@@ -35,29 +35,27 @@ class Spectrum:
     ``eigenvalues`` are ascending, ``eigenvectors`` holds the matching
     orthonormal columns, and ``groups`` partitions the index range into
     runs of (near-)equal eigenvalues, each run ascending and the runs
-    ordered by eigenvalue.
+    ordered by eigenvalue.  ``labels`` maps each eigen-index to its group
+    number, ``group_eigenvalues[k]`` is the mean eigenvalue of group k and
+    ``projectors[k]`` projects onto its subspace; these three are computed
+    once by :func:`eigendecompose` and are read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     groups: tuple
+    labels: np.ndarray
+    group_eigenvalues: np.ndarray
+    projectors: tuple
 
     @property
     def dim(self) -> int:
         return self.eigenvectors.shape[0]
 
-    def group_eigenvalue(self, k: int) -> float:
-        return float(np.mean(self.eigenvalues[list(self.groups[k])]))
-
-    def projector(self, k: int) -> np.ndarray:
-        cols = self.eigenvectors[:, list(self.groups[k])]
-        return cols @ cols.conj().T
-
     def dephase(self, rho: np.ndarray) -> np.ndarray:
         """The projector sum sum_k P_k rho P_k over the degenerate groups."""
         out = np.zeros_like(rho)
-        for k in range(len(self.groups)):
-            p = self.projector(k)
+        for p in self.projectors:
             out += p @ rho @ p
         return out
 
@@ -67,14 +65,6 @@ class Spectrum:
         if rho.shape[0] != self.dim:
             raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {self.dim}")
         return rho
-
-    def group_labels(self) -> np.ndarray:
-        """Label array mapping each eigenvector index to its group number."""
-        labels = np.empty(self.dim, dtype=np.intp)
-        for k, members in enumerate(self.groups):
-            for i in members:
-                labels[i] = k
-        return labels
 
 
 def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
@@ -86,16 +76,19 @@ def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
     hm = require_hermitian(as_square_matrix(h), tol)
     eigenvalues, eigenvectors = np.linalg.eigh(hm)
     threshold = tol.degeneracy_threshold(eigenvalues)
-    groups = []
-    current = [0]
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[i] - eigenvalues[i - 1] <= threshold:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    groups.append(tuple(current))
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=tuple(groups))
+    # a new group starts after every gap wider than the threshold
+    starts = (np.flatnonzero(np.diff(eigenvalues) > threshold) + 1).tolist()
+    bounds = [0, *starts, eigenvalues.size]
+    groups = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    labels = np.repeat(np.arange(len(groups), dtype=np.intp), np.diff(bounds))
+    group_eigenvalues = np.array([np.mean(eigenvalues[list(g)]) for g in groups])
+    columns = [eigenvectors[:, list(g)] for g in groups]
+    projectors = tuple(c @ c.conj().T for c in columns)
+    for a in (labels, group_eigenvalues, *projectors):
+        a.flags.writeable = False
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=groups,
+                    labels=labels, group_eigenvalues=group_eigenvalues,
+                    projectors=projectors)
 
 
 def to_eigenbasis(spectrum: Spectrum, matrix) -> np.ndarray:
@@ -145,9 +138,5 @@ def convergence_time(spectrum: Spectrum, tau_c: float, eps: float) -> float:
         raise ValidationError(f"tau_c must be >= 0, got {tau_c}")
     if len(spectrum.groups) < 2 or float(tau_c) == 0.0:
         return math.inf
-    gaps = [
-        spectrum.group_eigenvalue(k + 1) - spectrum.group_eigenvalue(k)
-        for k in range(len(spectrum.groups) - 1)
-    ]
-    gap = min(gaps)
+    gap = float(np.diff(spectrum.group_eigenvalues).min())
     return -math.log(float(eps)) / (float(tau_c) * gap * gap)

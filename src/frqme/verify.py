@@ -228,7 +228,7 @@ def _check_born_equivalence_random(tol: Tolerances):
 
         spectrum = eigendecompose(h, tol)
         # independent of the projector sum: zero the cross-group coefficients
-        labels = spectrum.group_labels()
+        labels = spectrum.labels
         coeffs = to_eigenbasis(spectrum, rho0)
         coeffs[labels[:, None] != labels[None, :]] = 0.0
         limit = from_eigenbasis(spectrum, coeffs)

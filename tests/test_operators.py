@@ -180,6 +180,25 @@ class TestProjectToPhysical:
         with pytest.raises(NegativeEigenvalueError):
             project_to_physical(np.diag([1.5, -0.5]))
 
+    def test_rejects_trace_deviation(self):
+        with pytest.raises(TraceDeviationError):
+            project_to_physical(np.diag([0.6, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        rho = maximally_mixed(2)
+        rho[0, 0] = bad
+        with pytest.raises(NonHermitianError):
+            project_to_physical(rho)
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        # the positivity check reads the eigh that the repair needs
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        project_to_physical(np.diag([1.0 + 2e-10, -2e-10]))
+
 
 class TestMetrics:
     def test_purity_bounds(self):

@@ -87,7 +87,7 @@ def stepped_time_series(result, tol=DEFAULT_TOLS):
     step = matrix_exponential(build_generator(result.generator, tol),
                               result.t_max / (grid_points - 1))
     grid = _kernels.propagate_grid(step, vectorize(result.initial), grid_points - 1)
-    labels = result.spectrum.group_labels()
+    labels = result.spectrum.labels
     cross = labels[:, None] != labels[None, :]
     rows = []
     for t, vec in zip(np.linspace(0.0, result.t_max, grid_points), grid):

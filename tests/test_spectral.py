@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frqme import (
+    DEFAULT_TOLS,
     GeneratorSpec,
     SIGMA_Y,
     Tolerances,
@@ -43,8 +44,8 @@ class TestEigendecompose:
     def test_exact_degeneracy_is_grouped(self):
         spectrum = eigendecompose(np.diag([1.0, -1.0, 1.0]))
         assert spectrum.groups == ((0,), (1, 2))
-        assert spectrum.group_eigenvalue(0) == -1.0
-        assert spectrum.group_eigenvalue(1) == 1.0
+        assert spectrum.group_eigenvalues[0] == -1.0
+        assert spectrum.group_eigenvalues[1] == 1.0
 
     def test_near_degeneracy_within_threshold_is_grouped(self):
         split = 1e-13
@@ -64,21 +65,26 @@ class TestEigendecompose:
     def test_projectors_resolve_identity(self):
         h = np.diag([2.0, 2.0, -1.0, 0.5])
         spectrum = eigendecompose(h)
-        total = sum(spectrum.projector(k) for k in range(len(spectrum.groups)))
+        total = sum(spectrum.projectors)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-13)
-        for k in range(len(spectrum.groups)):
-            p = spectrum.projector(k)
+        for p in spectrum.projectors:
             np.testing.assert_allclose(p @ p, p, atol=1e-13)
             np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
 
-    def test_group_labels(self):
+    def test_labels_number_the_groups(self):
         spectrum = eigendecompose(np.diag([1.0, -1.0, 1.0]))
-        np.testing.assert_array_equal(spectrum.group_labels(), [0, 1, 1])
+        np.testing.assert_array_equal(spectrum.labels, [0, 1, 1])
+
+    def test_group_data_is_read_only(self):
+        spectrum = eigendecompose(np.diag([1.0, -1.0, 1.0]))
+        for a in (spectrum.labels, spectrum.group_eigenvalues, *spectrum.projectors):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_single_qubit_drive_structure(self):
         spectrum = eigendecompose(0.5 * SIGMA_Y)
         np.testing.assert_allclose(spectrum.eigenvalues, [-0.5, 0.5], atol=1e-15)
-        upper = spectrum.projector(1)
+        upper = spectrum.projectors[1]
         expected = 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]])
         np.testing.assert_allclose(upper, expected, atol=1e-14)
 
@@ -88,6 +94,47 @@ class TestEigendecompose:
         np.testing.assert_allclose(spectrum.eigenvalues, [-0.5, -0.5, 0.5, 0.5],
                                    atol=1e-12)
         assert spectrum.groups == ((0, 1), (2, 3))
+
+
+# Gaps straddling the default clustering threshold (about 1e-9 to 1e-8 here).
+_GAPS = st.sampled_from([0.0, 1e-13, 4e-10, 9e-10, 2e-8, 1e-6, 0.3, 1.0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**31 - 1), gaps=st.lists(_GAPS, max_size=7))
+def test_grouping_partitions_the_spectrum(seed, gaps):
+    rng = np.random.default_rng(seed)
+    levels = np.concatenate(([0.0], np.cumsum(gaps)))
+    g = rng.standard_normal((levels.size,) * 2) + 1j * rng.standard_normal((levels.size,) * 2)
+    q, _ = np.linalg.qr(g)
+    spectrum = eigendecompose((q * levels) @ q.conj().T, DEFAULT_TOLS)
+    ev, labels = spectrum.eigenvalues, spectrum.labels
+
+    # single linkage on the computed eigenvalues
+    threshold = DEFAULT_TOLS.degeneracy_threshold(ev)
+    np.testing.assert_array_equal(np.diff(labels) == 0, np.diff(ev) <= threshold)
+    assert labels.dtype == np.intp
+    assert labels[0] == 0 and set(np.diff(labels).tolist()) <= {0, 1}
+    runs = tuple(tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels[-1] + 1))
+    assert spectrum.groups == runs
+    for k, members in enumerate(spectrum.groups):
+        assert spectrum.group_eigenvalues[k] == np.mean(ev[list(members)])
+    np.testing.assert_allclose(sum(spectrum.projectors), np.eye(ev.size), atol=1e-12)
+    for p in spectrum.projectors:
+        np.testing.assert_allclose(p @ p, p, atol=1e-12)
+
+
+def test_chained_sub_threshold_ladder_is_one_group():
+    # single linkage merges a ladder whose span is ~47 thresholds wide
+    tol = Tolerances(degeneracy=1e-3)
+    levels = 5e-4 * np.arange(100)
+    threshold = tol.degeneracy_threshold(levels)
+    assert levels[-1] > 40 * threshold
+    spectrum = eigendecompose(np.diag(levels), tol)
+    assert spectrum.groups == (tuple(range(100)),)
+    np.testing.assert_array_equal(spectrum.labels, np.zeros(100))
+    assert spectrum.group_eigenvalues[0] == np.mean(levels)
+    np.testing.assert_allclose(spectrum.projectors[0], np.eye(100), atol=1e-15)
 
 
 class TestBasisChange:
@@ -153,7 +200,7 @@ class TestSpectrumStateMethods:
         rho = random_density(rng, 4)
         before = to_eigenbasis(spectrum, rho)
         after = to_eigenbasis(spectrum, spectrum.dephase(rho))
-        labels = spectrum.group_labels()
+        labels = spectrum.labels
         same_group = labels[:, None] == labels[None, :]
         np.testing.assert_allclose(after[same_group], before[same_group], atol=1e-13)
         np.testing.assert_allclose(after[~same_group], 0.0, atol=1e-13)
@@ -243,7 +290,7 @@ class TestConvergenceTime:
         t = convergence_time(spectrum, 0.8, eps)
         coeffs0 = to_eigenbasis(spectrum, rho)
         coeffs = to_eigenbasis(spectrum, analytic_evolve(spectrum, rho, 0.8, t))
-        labels = spectrum.group_labels()
+        labels = spectrum.labels
         cross = labels[:, None] != labels[None, :]
         bound = eps * float(np.abs(coeffs0[cross]).max())
         assert float(np.abs(coeffs[cross]).max()) <= bound * (1.0 + 1e-9)
