@@ -1,11 +1,14 @@
 """Hot numeric kernels, each one plain numpy function.
 
-* ``expm``                -- matrix exponential for the Liouville propagator
+* ``expm``                -- matrix exponential, for the d x d unitaries of
+  the Gaussian average and for the Liouville propagator
 * ``propagate_grid``      -- repeated application of one step propagator
 * ``evolve_coefficients`` -- the entrywise eigenbasis solution
   ``a_ij(0) exp((-i D_ij - tau_c D_ij^2) t)`` with ``D_ij = l_i - l_j``
 
-The matrices handled here are small (Liouville dimension <= 256).
+The matrices handled here are small: Hilbert dimension up to about 64, and
+Liouville dimension d^2 only where the Liouville exponential still runs
+(``propagate``, the self-checks and the accuracy fallback).
 """
 
 import numpy as np

@@ -42,7 +42,11 @@ def _weights(projectors: tuple, rho: np.ndarray) -> np.ndarray:
 
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:
     """Probabilities Tr(P_k rho) and the dephased state sum_k P_k rho P_k."""
-    rho = spectrum.validate_state(rho0, tol)
+    return _predict(spectrum, spectrum.validate_state(rho0, tol), tol)
+
+
+def _predict(spectrum: Spectrum, rho: np.ndarray, tol: Tolerances) -> BornPrediction:
+    """:func:`born_predict` for a state that already passed ``spectrum.validate_state``."""
     probabilities = _weights(spectrum.projectors, rho)
     total = float(probabilities.sum())
     if abs(total - 1.0) > tol.trace:

@@ -21,10 +21,12 @@ prediction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -305,8 +307,24 @@ def _result_document(config: dict, tol: Tolerances, result, t_max: float, report
     }
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yield a temp path beside ``path``; move it over ``path`` once the body succeeds.
+
+    A reader never sees a half-written artifact, and a failed write leaves
+    the old file in place and no temp file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, document: dict) -> None:
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(path) as tmp:
+        tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header, cell_formats, rows) -> None:
@@ -316,7 +334,7 @@ def _write_csv(path: Path, header, cell_formats, rows) -> None:
     string cells are sweep parameter names.
     """
     line = ",".join(cell_formats) + "\r\n"
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _replacing(path) as tmp, tmp.open("w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(header)
         handle.writelines(line % tuple(row) for row in rows)
 
@@ -332,13 +350,15 @@ def cmd_run(config: dict) -> int:
         return 2
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "result.json", _result_document(config, tol, result, t_max, report))
+    # the series first, so a failed run never leaves a new result.json
+    # beside an old series
     _write_csv(
         out_dir / "timeseries.csv",
         TIME_SERIES_COLUMNS,
         (_FLOAT_CELL,) * len(TIME_SERIES_COLUMNS),
         result.time_series.tolist(),
     )
+    _write_json(out_dir / "result.json", _result_document(config, tol, result, t_max, report))
     print(f"scenario {config['scenario']}: verdict {report.verdict} "
           f"(trace distance {report.trace_distance:.17g}, "
           f"threshold {report.tol:.17g})")

@@ -3,7 +3,7 @@
 Conventions used throughout the package: hbar = 1, Hamiltonian entries are
 angular frequencies, multi-qubit basis ordering is big-endian (the first
 qubit is the most significant index).  Storage is dense complex128; the
-target scale is Hilbert dimension <= 16.
+target scale is Hilbert dimension <= 64.
 """
 
 from __future__ import annotations

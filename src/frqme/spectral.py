@@ -61,7 +61,11 @@ class Spectrum:
 
     def validate_state(self, rho0, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         """Check rho0 is a density matrix of the drive's dimension; return it."""
-        rho = validate_density_matrix(as_square_matrix(rho0), tol)
+        return self._require_dim(validate_density_matrix(as_square_matrix(rho0), tol))
+
+    def _require_dim(self, rho) -> np.ndarray:
+        """Check rho is one matrix of the drive's dimension; return it as complex128."""
+        rho = as_square_matrix(rho)
         if rho.shape[0] != self.dim:
             raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {self.dim}")
         return rho

@@ -161,6 +161,30 @@ class TestRun:
         assert not (out / "result.json").exists()
 
 
+class TestAtomicArtifacts:
+    @staticmethod
+    def failing_writer(handle, *args, **kwargs):
+        handle.write("t,purity\r\n0,")
+        raise OSError("disk full")
+
+    def test_failed_series_write_keeps_old_artifacts(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out)) == 0
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setattr(csv, "writer", self.failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli("run", "--out", str(out), "--set", "kappa=25")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+    def test_failed_sweep_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setattr(csv, "writer", self.failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli("sweep", "--out", str(out), "--set", "sweep.parameter=kappa",
+                    "--set", "sweep.values=[5]")
+        assert list(out.iterdir()) == []
+
+
 class TestConfigErrors:
     def test_negative_kappa(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--set", "kappa=-3") == 1

@@ -9,11 +9,14 @@ from frqme import (
     SIGMA_X,
     SIGMA_Y,
     ValidationError,
+    analytic_evolve,
     build_generator,
     choi_matrix,
     commutator_superop,
+    convergence_time,
     devectorize,
     double_commutator_superop,
+    eigendecompose,
     matrix_exponential,
     maximally_mixed,
     propagate,
@@ -21,7 +24,17 @@ from frqme import (
     qubit_state,
     vectorize,
 )
+from frqme import liouville
+from frqme.liouville import _final_state, _gaussian_average, _gaussian_grid, _span_bound
 from helpers import random_density, random_hermitian
+
+
+def drive_with_levels(rng, levels):
+    """Hermitian drive with the given eigenvalues in a random basis."""
+    dim = len(levels)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    h = (q * np.asarray(levels, dtype=np.float64)) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
 
 
 class TestVectorization:
@@ -89,6 +102,11 @@ class TestGeneratorSpec:
     def test_rejects_negative_tau_c(self):
         with pytest.raises(ValidationError):
             GeneratorSpec(drive=SIGMA_Y, tau_c=-0.1)
+
+    @pytest.mark.parametrize("tau_c", [np.inf, np.nan])
+    def test_rejects_non_finite_tau_c(self, tau_c):
+        with pytest.raises(ValidationError, match="tau_c must be finite"):
+            GeneratorSpec(drive=SIGMA_Y, tau_c=tau_c)
 
     def test_rejects_non_hermitian_drive(self):
         with pytest.raises(NonHermitianError):
@@ -240,6 +258,88 @@ class TestPropagate:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert np.abs(out - out.conj().T).max() <= 1e-10
         assert np.linalg.eigvalsh(out)[0] >= -1e-9
+
+
+class TestGaussianAverage:
+    """The Milburn form of exp(t L) rho as a trapezoid rule over evolution times."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 4, 6]),
+           tau_c=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    def test_matches_closed_form_and_liouville_exponential(self, seed, dim, tau_c, frac):
+        # gaps of at least 0.5, and t up to 1.5x the 1e-14 decay horizon of
+        # the smallest one, but with span * t <= 2e3, where all three
+        # evaluations agree to roundoff (they all lose digits as span * t grows)
+        rng = np.random.default_rng(seed)
+        levels = np.cumsum(rng.uniform(0.5, 1.5, dim))
+        h = drive_with_levels(rng, levels - levels.mean())
+        rho = random_density(rng, dim)
+        spectrum = eigendecompose(h)
+        span = _span_bound(h)
+        assert span >= np.ptp(spectrum.eigenvalues) - 1e-12
+        t = frac * min(1.5 * convergence_time(spectrum, tau_c, 1e-14), 2e3 / span)
+        out = _gaussian_average(h, rho, tau_c, t)
+        np.testing.assert_array_equal(out, out.conj().T)
+        spec = GeneratorSpec(drive=h, tau_c=tau_c)
+        oracle = devectorize(matrix_exponential(build_generator(spec), t) @ vectorize(rho))
+        assert np.abs(out - analytic_evolve(spectrum, rho, tau_c, t)).max() <= 1e-12
+        assert np.abs(out - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("tau_c, t", [(0.0, 3.7), (1.5, 0.0), (0.0, 0.0)])
+    def test_zero_width_is_plain_conjugation(self, tau_c, t):
+        rng = np.random.default_rng(4)
+        h, rho = random_hermitian(rng, 3), random_density(rng, 3)
+        assert _gaussian_grid(h, tau_c, t)[2:] == (0, 1)
+        u = matrix_exponential(-1j * h, t)
+        out = _gaussian_average(h, rho, tau_c, t)
+        assert np.abs(out - u @ rho @ u.conj().T).max() <= 1e-13
+        np.testing.assert_array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("h, tau_c, t", [
+        (2.5 * np.eye(3), 1e308, 1e308),
+        (np.diag([0.0, 0.5, 2.0]), 2.2250738585072014e-308, 5e-324),
+    ], ids=["width_overflows", "width_underflows"])
+    def test_extreme_widths_leave_the_state_unchanged(self, h, tau_c, t):
+        rho = random_density(np.random.default_rng(9), 3)
+        out = _final_state(GeneratorSpec(drive=h, tau_c=tau_c), rho, t)
+        assert np.abs(out - rho).max() <= 1e-15
+
+    @pytest.mark.parametrize("basis", ["diagonal", "rotated"])
+    @pytest.mark.parametrize("levels, t, rotated_tol", [
+        ([0.0, 1.0, 100.0], 1e3, 1e-8),
+        ([-1.0, -0.5, 0.2, 0.201, 0.9, 1.4, 2.0, 2.6], 3.2e7, 2e-7),
+    ], ids=["stiff", "near_degenerate"])
+    def test_stiff_and_long_horizon_take_the_liouville_path(self, monkeypatch, basis,
+                                                             levels, t, rotated_tol):
+        # span * t is far past the Gaussian average's accuracy limit.  The
+        # exponential matches the closed form exactly for a diagonal drive;
+        # in a rotated basis its 20-odd squarings amplify roundoff, to
+        # 0.4-2.2e-9 (stiff) and 0.7-5.3e-8 (near-degenerate) over seeds
+        # 0-7: the accuracy limit pinned here.
+        rng = np.random.default_rng(7)
+        if basis == "diagonal":
+            h, tol = np.diag(levels).astype(np.complex128), 1e-12
+        else:
+            h, tol = drive_with_levels(rng, levels), rotated_tol
+        rho = random_density(rng, len(levels))
+        assert _span_bound(h) * t > liouville._GAUSS_MAX_PHASE
+
+        def refuse(*args):
+            raise AssertionError("Gaussian average used past its accuracy limit")
+
+        monkeypatch.setattr(liouville, "_gaussian_average", refuse)
+        out = _final_state(GeneratorSpec(drive=h, tau_c=1.0), rho, t)
+        expected = analytic_evolve(eigendecompose(h), rho, 1.0, t)
+        assert np.abs(out - expected).max() <= tol
+
+    def test_extra_dissipators_take_the_liouville_path(self):
+        rng = np.random.default_rng(12)
+        spec = GeneratorSpec(drive=random_hermitian(rng, 3), tau_c=0.5,
+                             extra_dissipators=((random_hermitian(rng, 3), 0.4),))
+        rho = random_density(rng, 3)
+        oracle = devectorize(matrix_exponential(build_generator(spec), 2.0) @ vectorize(rho))
+        assert np.abs(_final_state(spec, rho, 2.0) - oracle).max() <= 1e-12
 
 
 class TestChoiMatrix:

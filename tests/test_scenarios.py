@@ -5,9 +5,14 @@ from hypothesis import strategies as st
 
 from frqme import (
     DEFAULT_TOLS,
+    DimensionMismatchError,
+    NegativeEigenvalueError,
+    NonHermitianError,
     PulseSpec,
     TIME_SERIES_COLUMNS,
+    TraceDeviationError,
     ValidationError,
+    analytic_evolve,
     build_generator,
     custom_scenario,
     devectorize,
@@ -23,8 +28,21 @@ from frqme import (
     two_qubit_scenario,
     vectorize,
 )
-from frqme import _kernels
+from frqme import _kernels, liouville, scenarios, spectral
 from helpers import random_density, random_hermitian
+
+
+def dense_drive_and_state(seed):
+    """d = 16 drive: the 12 levels linspace(-2, 2, 12) plus 4 repeats in a
+    random basis, and a rank-4 mixed state."""
+    rng = np.random.default_rng(seed)
+    lattice = np.linspace(-2.0, 2.0, 12)
+    levels = np.concatenate([lattice, rng.choice(lattice, size=4)])
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    h = (q * levels) @ q.conj().T
+    g = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    w = g @ g.conj().T
+    return 0.5 * (h + h.conj().T), w / np.trace(w).real
 
 
 def driven_qubit_endpoint(theta, phi, kappa, decay_product):
@@ -295,6 +313,67 @@ class TestCustomScenario:
         final = result.final_numeric
         np.testing.assert_array_equal(final, final.conj().T)
         assert np.abs(final - result.final_analytic).max() <= 1e-12
+
+    def test_d64_endpoints_agree(self):
+        rng = np.random.default_rng(64)
+        result = custom_scenario(random_hermitian(rng, 64), random_density(rng, 64),
+                                 tau_c=1.0, t_max=50.0, grid_points=3)
+        assert np.abs(result.final_numeric - result.final_analytic).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dense_endpoint_needs_no_liouville_generator(self, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("d^2 x d^2 generator built for a scenario endpoint")
+
+        for module in (liouville, scenarios):
+            monkeypatch.setattr(module, "build_generator", refuse, raising=False)
+        h, rho = dense_drive_and_state(seed)
+        gap = 4.0 / 11.0
+        t_max = 1.25 * -np.log(1e-14) / gap ** 2
+        result = custom_scenario(h, rho, tau_c=1.0, t_max=t_max, grid_points=200)
+        final = result.final_numeric
+        np.testing.assert_array_equal(final, final.conj().T)
+        assert np.abs(final - result.final_analytic).max() <= 1e-12
+
+    def test_final_analytic_is_analytic_evolve(self):
+        rng = np.random.default_rng(3)
+        h, rho = random_hermitian(rng, 5), random_density(rng, 5)
+        result = custom_scenario(h, rho, tau_c=0.3, t_max=7.5, grid_points=4)
+        np.testing.assert_array_equal(
+            result.final_analytic, analytic_evolve(result.spectrum, rho, 0.3, 7.5))
+
+    def test_validates_initial_state_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        h, rho = random_hermitian(rng, 4), random_density(rng, 4)
+        seen = []
+
+        def spy(validate):
+            def wrapped(m, *args, **kwargs):
+                if np.shape(m) == rho.shape and np.array_equal(m, rho):
+                    seen.append(validate)
+                return validate(m, *args, **kwargs)
+            return wrapped
+
+        for module in (scenarios, spectral):
+            monkeypatch.setattr(module, "validate_density_matrix",
+                                spy(module.validate_density_matrix))
+        custom_scenario(h, rho, tau_c=0.5, t_max=2.0, grid_points=3)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("rho0, error, message", [
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), NonHermitianError,
+         "hermiticity defect nan exceeds"),
+        (np.eye(2), TraceDeviationError, "trace 2"),
+        (np.diag([1.5, -0.5]), NegativeEigenvalueError, "smallest eigenvalue -5.000e-01"),
+        (np.eye(3) / 3, ValidationError, "state dim 3 differs from drive dim 2"),
+        (np.stack([np.eye(2) / 2] * 3), DimensionMismatchError,
+         r"expected a square matrix, got shape \(3, 2, 2\)"),
+        (np.ones((2, 3)), DimensionMismatchError,
+         r"expected a square matrix or a stack of them, got shape \(2, 3\)"),
+    ], ids=["nan", "trace", "negative", "wrong_dim", "stack", "non_square"])
+    def test_rejects_bad_initial_state(self, rho0, error, message):
+        with pytest.raises(error, match=message):
+            custom_scenario(np.diag([0.0, 1.0]), rho0, 1.0, 1.0, grid_points=3)
 
     def test_rejects_tiny_grid(self):
         rho = maximally_mixed(2)
