@@ -8,7 +8,7 @@
 
 The matrices handled here are small: Hilbert dimension up to about 64, and
 Liouville dimension d^2 only where the Liouville exponential still runs
-(``propagate``, the self-checks and the accuracy fallback).
+(``propagate``, the self-checks and the size fallback of the endpoint).
 """
 
 import numpy as np

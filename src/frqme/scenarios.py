@@ -9,7 +9,7 @@ The time series comes from the closed-form eigenbasis solution, evaluated
 on blocks of grid times.  The numeric endpoint, an independent check on it
 that never diagonalises the drive, is the Milburn Gaussian average over
 evolution times, or the d^2 x d^2 Liouville exponential where that average
-would lose accuracy (see ``liouville._final_state``).
+would need more memory (see ``liouville._final_state``).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class ScenarioResult:
     by TIME_SERIES_COLUMNS, computed from the entrywise eigenbasis solution
     with every sample validated as a density matrix.  ``final_numeric``
     comes from d x d unitaries averaged over Gaussian-distributed evolution
-    times (or, past that average's accuracy limit, from the full-interval
+    times (or, where that average would outgrow it, from the full-interval
     Liouville exponential), ``final_analytic`` from the entrywise eigenbasis
     solution; ``asymptotic`` is the projector sum, the same array as
     ``born.post_state``.

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,16 @@ def drive_with_levels(rng, levels):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     h = (q * np.asarray(levels, dtype=np.float64)) @ q.conj().T
     return 0.5 * (h + h.conj().T)
+
+
+@contextlib.contextmanager
+def liouville_refused():
+    def refuse(*args, **kwargs):
+        raise AssertionError("Liouville exponential used for a Gaussian-average endpoint")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liouville, "build_generator", refuse)
+        yield
 
 
 class TestVectorization:
@@ -279,12 +291,41 @@ class TestGaussianAverage:
         span = _span_bound(h)
         assert span >= np.ptp(spectrum.eigenvalues) - 1e-12
         t = frac * min(1.5 * convergence_time(spectrum, tau_c, 1e-14), 2e3 / span)
-        out = _gaussian_average(h, rho, tau_c, t)
+        out = _gaussian_average(h, rho, t, _gaussian_grid(h, tau_c, t))
         np.testing.assert_array_equal(out, out.conj().T)
         spec = GeneratorSpec(drive=h, tau_c=tau_c)
         oracle = devectorize(matrix_exponential(build_generator(spec), t) @ vectorize(rho))
         assert np.abs(out - analytic_evolve(spectrum, rho, tau_c, t)).max() <= 1e-12
         assert np.abs(out - oracle).max() <= 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([3, 4, 6, 16]),
+           frac=st.floats(1e-3, 1.0), t=st.floats(1e-3, 1.0))
+    def test_wide_average_matches_closed_form(self, seed, dim, frac, t):
+        # sigma far beyond t, up to the widest average the size rule admits
+        # (m = d^2), where a giant step left off unitary puts 3e-12 of norm
+        # drift into the populations at d = 16
+        rng = np.random.default_rng(seed)
+        h, rho = random_hermitian(rng, dim), random_density(rng, dim)
+        sigma = frac * (dim ** 4 - 26) / 2.75 / _span_bound(h)
+        tau_c = sigma ** 2 / (2.0 * t)
+        assert _gaussian_grid(h, tau_c, t)[3] <= dim * dim
+        with liouville_refused():
+            out = _final_state(GeneratorSpec(drive=h, tau_c=tau_c), rho, t)
+        expected = analytic_evolve(eigendecompose(h), rho, tau_c, t)
+        assert np.abs(out - expected).max() <= 1e-12
+
+    def test_wide_average_at_d64_matches_closed_form(self):
+        # span * sigma = 6.1e5, so m = 1295, where steps left off unitary
+        # put 3.8e-12 of norm drift into the populations
+        rng = np.random.default_rng(0)
+        h, rho = random_hermitian(rng, 64), random_density(rng, 64)
+        tau_c = 0.5 * (6.12e5 / _span_bound(h)) ** 2
+        assert _gaussian_grid(h, tau_c, 1.0)[3] == 1295
+        with liouville_refused():
+            out = _final_state(GeneratorSpec(drive=h, tau_c=tau_c), rho, 1.0)
+        expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
+        assert np.abs(out - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("tau_c, t", [(0.0, 3.7), (1.5, 0.0), (0.0, 0.0)])
     def test_zero_width_is_plain_conjugation(self, tau_c, t):
@@ -292,7 +333,7 @@ class TestGaussianAverage:
         h, rho = random_hermitian(rng, 3), random_density(rng, 3)
         assert _gaussian_grid(h, tau_c, t)[2:] == (0, 1)
         u = matrix_exponential(-1j * h, t)
-        out = _gaussian_average(h, rho, tau_c, t)
+        out = _gaussian_average(h, rho, t, _gaussian_grid(h, tau_c, t))
         assert np.abs(out - u @ rho @ u.conj().T).max() <= 1e-13
         np.testing.assert_array_equal(out, out.conj().T)
 
@@ -312,21 +353,21 @@ class TestGaussianAverage:
     ], ids=["stiff", "near_degenerate"])
     def test_stiff_and_long_horizon_take_the_liouville_path(self, monkeypatch, basis,
                                                              levels, t, rotated_tol):
-        # span * t is far past the Gaussian average's accuracy limit.  The
-        # exponential matches the closed form exactly for a diagonal drive;
-        # in a rotated basis its 20-odd squarings amplify roundoff, to
-        # 0.4-2.2e-9 (stiff) and 0.7-5.3e-8 (near-degenerate) over seeds
-        # 0-7: the accuracy limit pinned here.
+        # span * sigma is so wide that the average would need more than d^2
+        # baby steps.  The exponential matches the closed form exactly for
+        # a diagonal drive; in a rotated basis its 20-odd squarings amplify
+        # roundoff, to 0.4-2.2e-9 (stiff) and 0.7-5.3e-8 (near-degenerate)
+        # over seeds 0-7: the fallback's accuracy pinned here.
         rng = np.random.default_rng(7)
         if basis == "diagonal":
             h, tol = np.diag(levels).astype(np.complex128), 1e-12
         else:
             h, tol = drive_with_levels(rng, levels), rotated_tol
         rho = random_density(rng, len(levels))
-        assert _span_bound(h) * t > liouville._GAUSS_MAX_PHASE
+        assert _gaussian_grid(h, 1.0, t)[3] > len(levels) ** 2
 
         def refuse(*args):
-            raise AssertionError("Gaussian average used past its accuracy limit")
+            raise AssertionError("Gaussian average used past its size limit")
 
         monkeypatch.setattr(liouville, "_gaussian_average", refuse)
         out = _final_state(GeneratorSpec(drive=h, tau_c=1.0), rho, t)
