@@ -96,7 +96,7 @@ def compare_to_prediction(rho_sim, prediction: BornPrediction,
     threshold = tol.compare if compare_tol is None else float(compare_tol)
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValidationError(f"comparison tolerance must be finite and >= 0, got {threshold}")
-    td = trace_distance(rho, prediction.post_state)
+    td = trace_distance(rho, prediction.post_state, tol)
     entry = float(np.abs(rho - prediction.post_state).max())
     weights = _weights(prediction.projectors, rho)
     rows = tuple(

@@ -403,7 +403,7 @@ def cmd_sweep(config: dict) -> int:
             parameter,
             float(point[parameter]),
             point["omega1"] * point["tau_c"] * point["kappa"],
-            trace_distance(final, result.born.post_state),
+            trace_distance(final, result.born.post_state, tol),
             purity(final, tol),
             float(result.born.probabilities[top_group]),
         ])

@@ -194,16 +194,21 @@ def project_to_physical(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 def purity(rho, tol: Tolerances = DEFAULT_TOLS):
     """Tr(rho^2); 1 for pure states, 1/d for the maximally mixed state.
 
+    ``rho`` is validated as a density matrix (every sample of a stack), so
+    Tr(rho^2) equals the sum of ``|rho_ij|^2``, which is what is computed.
     A float for one state, an (n,) array for an (n, d, d) stack.
     """
     a = validate_density_matrix(rho, tol)
-    p = np.trace(a @ a, axis1=-2, axis2=-1).real
+    p = (a.real ** 2 + a.imag ** 2).sum(axis=(-2, -1))
     return float(p) if a.ndim == 2 else p
 
 
-def trace_distance(a, b):
+def trace_distance(a, b, tol: Tolerances = DEFAULT_TOLS):
     """Half the nuclear norm of a - b; a metric in [0, 1] for valid states.
 
+    The norm is the sum of the absolute eigenvalues of ``a - b``, whose
+    solver reads only one triangle, so ``a - b`` must be Hermitian within
+    tol.herm; NonHermitianError names the first failing sample otherwise.
     Either operand may be an (n, d, d) stack; a single matrix broadcasts
     against a stack.  A float for two matrices, an (n,) array otherwise.
     """
@@ -212,7 +217,8 @@ def trace_distance(a, b):
         raise DimensionMismatchError(
             f"dimension mismatch: {sorted({am.shape[-1], bm.shape[-1]})}"
         )
-    d = 0.5 * np.linalg.svd(am - bm, compute_uv=False).sum(axis=-1)
+    diff = require_hermitian(am - bm, tol)
+    d = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
     return float(d) if d.ndim == 0 else d
 
 

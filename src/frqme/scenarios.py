@@ -15,6 +15,7 @@ would need more memory (see ``liouville._final_state``).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -57,15 +58,14 @@ class PulseSpec:
     tau_c: float = 1.0
 
     def __post_init__(self):
-        if not (float(self.kappa) >= 0.0):
-            raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
-        if not (float(self.omega1) > 0.0):
-            raise ValidationError(f"omega1 must be > 0, got {self.omega1}")
-        if not (float(self.tau_c) >= 0.0):
-            raise ValidationError(f"tau_c must be >= 0, got {self.tau_c}")
-        object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "omega1", float(self.omega1))
-        object.__setattr__(self, "tau_c", float(self.tau_c))
+        for name in ("kappa", "omega1", "tau_c"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ValidationError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not (math.isfinite(self.omega1) and self.omega1 > 0.0):
+            raise ValidationError(f"omega1 must be finite and > 0, got {self.omega1}")
+        if not (math.isfinite(self.tau_c) and self.tau_c >= 0.0):
+            raise ValidationError(f"tau_c must be finite and >= 0, got {self.tau_c}")
 
     @property
     def duration(self) -> float:
@@ -106,9 +106,9 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     if int(grid_points) < 2:
         raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
     grid_points = int(grid_points)
-    if not (float(t_max) >= 0.0):
-        raise ValidationError(f"t_max must be >= 0, got {t_max}")
     t_max = float(t_max)
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValidationError(f"t_max must be finite and >= 0, got {t_max}")
 
     # the one density-matrix check of rho0; it runs before the drive is checked
     rho0 = validate_density_matrix(rho0, tol)
@@ -133,7 +133,7 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
         )
         rows[:, 1] = purity(coeffs, tol)
         rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
-        rows[:, 3] = trace_distance(coeffs, born_coeffs)
+        rows[:, 3] = trace_distance(coeffs, born_coeffs, tol)
 
     final_numeric = validate_density_matrix(_final_state(spec, rho0, t_max, tol), tol)
     final_analytic = from_eigenbasis(spectrum, _kernels.evolve_coefficients(

@@ -230,6 +230,54 @@ class TestMetrics:
         assert dab == pytest.approx(trace_distance(b, a), abs=1e-14)
 
 
+class TestMetricFormulas:
+    """The metrics against their textbook formulas: the nuclear norm from an
+    SVD and Tr(rho^2) from a matrix product."""
+
+    @staticmethod
+    def svd_trace_distance(a, b):
+        return 0.5 * np.linalg.svd(a - b, compute_uv=False).sum(axis=-1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([1, 2, 3, 4, 8, 16]),
+           n=st.integers(1, 6))
+    def test_trace_distance_equals_svd_formula(self, seed, dim, n):
+        rng = np.random.default_rng(seed)
+        a, b = (random_hermitian(rng, dim) for _ in range(2))
+        stack = np.array([random_hermitian(rng, dim) for _ in range(n)])
+        others = np.array([random_hermitian(rng, dim) for _ in range(n)])
+        for x, y in ((a, b), (stack, others), (stack, b), (a, stack)):
+            np.testing.assert_allclose(trace_distance(x, y), self.svd_trace_distance(x, y),
+                                       rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([1, 2, 3, 4, 8, 16]))
+    def test_purity_equals_trace_of_square(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        stack = np.array([random_density(rng, dim) for _ in range(5)])
+        reference = np.trace(stack @ stack, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(purity(stack), reference, rtol=0, atol=1e-14)
+        assert purity(stack[0]) == pytest.approx(reference[0], rel=0, abs=1e-14)
+
+    def test_trace_distance_rejects_non_hermitian_difference(self):
+        stack = np.array([maximally_mixed(2)] * 6)
+        stack[2, 0, 1] = stack[4, 1, 0] = 1e-3
+        with pytest.raises(NonHermitianError, match="1.000e-03 in sample 2 exceeds"):
+            trace_distance(stack, maximally_mixed(2))
+        with pytest.raises(NonHermitianError, match="in sample 2"):
+            trace_distance(maximally_mixed(2), stack)
+        with pytest.raises(NonHermitianError):
+            trace_distance(stack[4], maximally_mixed(2))
+
+    def test_trace_distance_uses_the_given_herm_tolerance(self):
+        a = np.array([[0.5, 1e-8], [0.0, 0.5]])
+        with pytest.raises(NonHermitianError):
+            trace_distance(a, maximally_mixed(2))
+        # within the looser tolerance the defect bounds the error
+        assert trace_distance(a, maximally_mixed(2), Tolerances(herm=1e-6)) == pytest.approx(
+            self.svd_trace_distance(a, maximally_mixed(2)), abs=1e-8)
+
+
 class TestTensorAlgebra:
     def test_tensor_product_order(self):
         # big-endian: left factor indexes the most significant qubit

@@ -26,9 +26,10 @@ from frqme import (
     to_eigenbasis,
     trace_distance,
     two_qubit_scenario,
+    validate_density_matrix,
     vectorize,
 )
-from frqme import _kernels, liouville, scenarios, spectral
+from frqme import _kernels, liouville, operators, scenarios, spectral
 from helpers import random_density, random_hermitian
 
 
@@ -115,7 +116,7 @@ def stepped_time_series(result, tol=DEFAULT_TOLS):
             t,
             purity(rho, tol),
             float(np.abs(coeffs[cross]).max()) if cross.any() else 0.0,
-            trace_distance(rho, result.born.post_state),
+            trace_distance(rho, result.born.post_state, tol),
         ])
     return np.array(rows)
 
@@ -164,6 +165,10 @@ class TestPulseSpec:
             PulseSpec(omega1=0.0)
         with pytest.raises(ValidationError):
             PulseSpec(tau_c=-0.5)
+        for field in ("kappa", "omega1", "tau_c"):
+            for bad in (np.inf, np.nan):
+                with pytest.raises(ValidationError, match=f"{field} must be finite and"):
+                    PulseSpec(**{field: bad})
 
 
 class TestSingleQubitScenario:
@@ -383,6 +388,29 @@ class TestCustomScenario:
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
             custom_scenario(np.eye(2), maximally_mixed(2), 1.0, -1.0)
+
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan])
+    def test_rejects_non_finite_time(self, t_max):
+        with pytest.raises(ValidationError, match="t_max must be finite and >= 0"):
+            custom_scenario(np.diag([0.0, 1.0]), maximally_mixed(2), 1.0, t_max)
+
+    def test_validates_every_sample(self, monkeypatch):
+        # every grid sample is checked as a density matrix (hermiticity,
+        # trace and positivity), not only rho0 and the endpoints
+        rng = np.random.default_rng(6)
+        h, rho = random_hermitian(rng, 3), random_density(rng, 3)
+        stacked = []
+
+        def spy(m, *args, **kwargs):
+            if np.ndim(m) == 3:
+                stacked.append(len(m))
+            return validate_density_matrix(m, *args, **kwargs)
+
+        for module in (scenarios, operators):
+            monkeypatch.setattr(module, "validate_density_matrix", spy)
+        grid_points = 2 * scenarios._BLOCK + 37
+        custom_scenario(h, rho, tau_c=0.5, t_max=3.0, grid_points=grid_points)
+        assert sum(stacked) == grid_points
 
     def test_rejects_non_hermitian_drive(self):
         with pytest.raises(ValidationError):
