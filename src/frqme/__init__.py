@@ -10,7 +10,10 @@ so every coherence between distinct drive eigenvalues decays while each
 degenerate subspace is left untouched.  The package builds and exponentiates
 the corresponding superoperators, evolves states numerically and in closed
 form, extracts the asymptotic state, and compares it against the projective
-prediction sum_k P_k rho P_k with outcome weights Tr(P_k rho).
+prediction sum_k P_k rho P_k with outcome weights Tr(P_k rho).  The exports
+are the pieces of that pipeline: states and their validation, the generator
+and its exponential, the eigenbasis solution, the prediction and its
+comparison, the packaged scenarios and the self-checks.
 
 numpy is the only runtime dependency; the kernels in frqme._kernels are one
 plain numpy function each: the matrix exponential and the entrywise
@@ -32,9 +35,7 @@ from .liouville import (
 )
 from .operators import (
     DEFAULT_TOLS,
-    SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     DimensionMismatchError,
     NegativeEigenvalueError,
     NonHermitianError,
@@ -42,9 +43,6 @@ from .operators import (
     TraceDeviationError,
     ValidationError,
     bell_amplitudes,
-    hermiticity_defect,
-    maximally_mixed,
-    partial_trace,
     project_to_physical,
     pure_density,
     purity,
@@ -85,9 +83,7 @@ __all__ = [
     "NonHermitianError",
     "PulseSpec",
     "ScenarioResult",
-    "SIGMA_X",
     "SIGMA_Y",
-    "SIGMA_Z",
     "Spectrum",
     "TIME_SERIES_COLUMNS",
     "Tolerances",
@@ -107,10 +103,7 @@ __all__ = [
     "double_commutator_superop",
     "eigendecompose",
     "from_eigenbasis",
-    "hermiticity_defect",
     "matrix_exponential",
-    "maximally_mixed",
-    "partial_trace",
     "project_to_physical",
     "propagate",
     "pure_density",

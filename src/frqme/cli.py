@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -34,9 +35,10 @@ import numpy as np
 
 from . import __version__
 from .born import compare_to_prediction
-from .operators import Tolerances, ValidationError, purity, trace_distance
+from .operators import DEFAULT_TOLS, Tolerances, ValidationError, purity, trace_distance
 from .scenarios import (
     PulseSpec,
+    ScenarioResult,
     TIME_SERIES_COLUMNS,
     custom_scenario,
     single_qubit_scenario,
@@ -48,7 +50,7 @@ from .verify import run_checks
 SCENARIOS = ("single_qubit", "two_qubit", "custom")
 SWEEP_PARAMETERS = ("kappa", "tau_c", "omega1", "theta", "phi")
 ANGLE_SWEEPS = ("theta", "phi")
-_TOLERANCE_KEYS = ("herm", "trace", "psd", "compare", "degeneracy")
+_TOLERANCE_KEYS = tuple(field.name for field in dataclasses.fields(Tolerances))
 _TOP_LEVEL_KEYS = frozenset({
     "scenario", "theta", "phi", "kappa", "omega1", "tau_c", "grid_points",
     "eps_converge", "compare_tol", "out", "tolerances", "custom", "sweep",
@@ -69,24 +71,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_config() -> dict:
+    """The run configuration; pulse and tolerance defaults are the library's."""
     return {
         "scenario": "single_qubit",
         "theta": math.pi / 2.0,
         "phi": math.pi / 4.0,
-        "kappa": 20.0,
-        "omega1": 1.0,
-        "tau_c": 1.0,
+        **dataclasses.asdict(PulseSpec()),
         "grid_points": 200,
         "eps_converge": 1e-14,
         "compare_tol": 1e-6,
         "out": "frqme-out",
-        "tolerances": {
-            "herm": 1e-10,
-            "trace": 1e-10,
-            "psd": 1e-9,
-            "compare": 1e-9,
-            "degeneracy": 1e-9,
-        },
+        "tolerances": dataclasses.asdict(DEFAULT_TOLS),
     }
 
 
@@ -119,13 +114,13 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _require_number(config: dict, key: str) -> float:
-    value = config.get(key)
+def _require_number(value, name: str) -> float:
+    """A present, non-bool, finite JSON number as a float, or UsageError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{key} must be a number, got {value!r}")
+        raise UsageError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise UsageError(f"{key} must be finite, got {value!r}")
+        raise UsageError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -137,24 +132,21 @@ def _validate_config(config: dict) -> dict:
     if scenario not in SCENARIOS:
         raise UsageError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    for key in ("theta", "phi", "compare_tol"):
-        config[key] = _require_number(config, key)
+    for key in ("theta", "phi", "compare_tol", "kappa", "omega1", "tau_c"):
+        config[key] = _require_number(config.get(key), key)
     if config["compare_tol"] < 0.0:
         raise UsageError(f"compare_tol must be >= 0, got {config['compare_tol']}")
-    if _require_number(config, "kappa") < 0.0:
-        raise UsageError(f"kappa must be >= 0, got {config['kappa']}")
-    if _require_number(config, "omega1") <= 0.0:
-        raise UsageError(f"omega1 must be > 0, got {config['omega1']}")
-    if _require_number(config, "tau_c") < 0.0:
-        raise UsageError(f"tau_c must be >= 0, got {config['tau_c']}")
-    for key in ("kappa", "omega1", "tau_c"):
-        config[key] = float(config[key])
+    # the ranges are PulseSpec's, checked for every scenario
+    try:
+        PulseSpec(config["kappa"], config["omega1"], config["tau_c"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     grid_points = config.get("grid_points")
     if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 2:
         raise UsageError(f"grid_points must be an integer >= 2, got {grid_points!r}")
 
-    eps = _require_number(config, "eps_converge")
+    eps = _require_number(config.get("eps_converge"), "eps_converge")
     if not (0.0 < eps < 1.0):
         raise UsageError(f"eps_converge must lie in (0, 1), got {eps}")
     config["eps_converge"] = eps
@@ -168,11 +160,13 @@ def _validate_config(config: dict) -> dict:
     unknown = set(tols) - set(_TOLERANCE_KEYS)
     if unknown:
         raise UsageError(f"unknown tolerance keys: {sorted(unknown)}")
+    # every key is required: Tolerances would fill a missing one from its default
     for key in _TOLERANCE_KEYS:
-        value = tols.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not (float(value) >= 0.0):
-            raise UsageError(f"tolerances.{key} must be a number >= 0, got {value!r}")
-        tols[key] = float(value)
+        tols[key] = _require_number(tols.get(key), f"tolerances.{key}")
+    try:
+        Tolerances(**tols)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     if scenario == "custom":
         block = config.get("custom")
@@ -185,11 +179,9 @@ def _validate_config(config: dict) -> dict:
         missing = _CUSTOM_KEYS - set(block)
         if missing:
             raise UsageError(f"custom block is missing keys: {sorted(missing)}")
-        t_max = block.get("t_max")
-        if isinstance(t_max, bool) or not isinstance(t_max, (int, float)) \
-                or not math.isfinite(float(t_max)) or float(t_max) < 0.0:
-            raise UsageError(f"custom.t_max must be a number >= 0, got {t_max!r}")
-        block["t_max"] = float(t_max)
+        block["t_max"] = _require_number(block["t_max"], "custom.t_max")
+        if block["t_max"] < 0.0:
+            raise UsageError(f"custom.t_max must be >= 0, got {block['t_max']}")
 
     sweep = config.get("sweep")
     if sweep is not None:
@@ -228,24 +220,20 @@ def _parse_complex_matrix(node, name: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _execute(config: dict, tol: Tolerances):
-    """Run the configured scenario; returns (result, t_max)."""
+def _execute(config: dict, tol: Tolerances) -> ScenarioResult:
+    """Run the configured scenario."""
     scenario = config["scenario"]
     if scenario == "custom":
         block = config["custom"]
         h = _parse_complex_matrix(block["hamiltonian"], "custom.hamiltonian")
         rho0 = _parse_complex_matrix(block["rho0"], "custom.rho0")
-        t_max = block["t_max"]
-        result = custom_scenario(h, rho0, config["tau_c"], t_max,
-                                 config["grid_points"], tol)
-        return result, t_max
+        return custom_scenario(h, rho0, config["tau_c"], block["t_max"],
+                               config["grid_points"], tol)
     pulse = PulseSpec(kappa=config["kappa"], omega1=config["omega1"], tau_c=config["tau_c"])
     if scenario == "single_qubit":
-        result = single_qubit_scenario(config["theta"], config["phi"], pulse,
-                                       config["grid_points"], tol)
-    else:
-        result = two_qubit_scenario(pulse, config["grid_points"], tol)
-    return result, pulse.duration
+        return single_qubit_scenario(config["theta"], config["phi"], pulse,
+                                     config["grid_points"], tol)
+    return two_qubit_scenario(pulse, config["grid_points"], tol)
 
 
 def _matrix_doc(m) -> list:
@@ -255,7 +243,7 @@ def _matrix_doc(m) -> list:
     ]
 
 
-def _result_document(config: dict, tol: Tolerances, result, t_max: float, report) -> dict:
+def _result_document(config: dict, result: ScenarioResult, report) -> dict:
     scenario = config["scenario"]
     spectrum = result.spectrum
     ct = convergence_time(spectrum, config["tau_c"], config["eps_converge"])
@@ -275,7 +263,7 @@ def _result_document(config: dict, tol: Tolerances, result, t_max: float, report
         "kappa": config["kappa"] if pulse_like else None,
         "omega1": config["omega1"] if pulse_like else None,
         "tau_c": config["tau_c"],
-        "t_max": t_max,
+        "t_max": result.t_max,
         "grid_points": config["grid_points"],
         "eps_converge": config["eps_converge"],
         "compare_tol": config["compare_tol"],
@@ -289,7 +277,7 @@ def _result_document(config: dict, tol: Tolerances, result, t_max: float, report
             "initial": _matrix_doc(result.initial),
             "final": _matrix_doc(result.final_numeric),
             "final_analytic": _matrix_doc(result.final_analytic),
-            "asymptotic": _matrix_doc(result.asymptotic),
+            "asymptotic": _matrix_doc(result.born.post_state),
             "born_post_state": _matrix_doc(result.born.post_state),
         },
         "degeneracy_groups": groups,
@@ -342,7 +330,7 @@ def _write_csv(path: Path, header, cell_formats, rows) -> None:
 def cmd_run(config: dict) -> int:
     tol = Tolerances(**config["tolerances"])
     try:
-        result, t_max = _execute(config, tol)
+        result = _execute(config, tol)
         report = compare_to_prediction(result.final_numeric, result.born, tol,
                                        config["compare_tol"])
     except ValidationError as exc:
@@ -358,7 +346,7 @@ def cmd_run(config: dict) -> int:
         (_FLOAT_CELL,) * len(TIME_SERIES_COLUMNS),
         result.time_series.tolist(),
     )
-    _write_json(out_dir / "result.json", _result_document(config, tol, result, t_max, report))
+    _write_json(out_dir / "result.json", _result_document(config, result, report))
     print(f"scenario {config['scenario']}: verdict {report.verdict} "
           f"(trace distance {report.trace_distance:.17g}, "
           f"threshold {report.tol:.17g})")
@@ -392,7 +380,7 @@ def cmd_sweep(config: dict) -> int:
     rows = []
     for point in point_configs:
         try:
-            result, _ = _execute(point, tol)
+            result = _execute(point, tol)
         except ValidationError as exc:
             print(f"numerical validation failure at {parameter}={point[parameter]}: {exc}",
                   file=sys.stderr)

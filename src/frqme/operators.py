@@ -70,9 +70,7 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -113,10 +111,6 @@ def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
     # inf - inf is nan, which the callers' `not (defect <= tol)` rejects
     with np.errstate(invalid="ignore"):
         return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-
-
-def hermiticity_defect(m) -> float:
-    return float(_hermiticity_defects(as_square_matrix(m)))
 
 
 def require_hermitian(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -232,29 +226,11 @@ def tensor_product(*operators) -> np.ndarray:
     return out
 
 
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Reduced state on the ``keep`` subsystems (big-endian ordering)."""
-    a = as_square_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != a.shape[0]:
-        raise DimensionMismatchError(f"subsystem dims {dims} do not factor {a.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
-    dropped = [i for i in range(len(dims)) if i not in keep]
-    t = a.reshape(dims + dims)
-    n = len(dims)
-    for offset, ax in enumerate(sorted(dropped)):
-        ax0 = ax - offset
-        t = np.trace(t, axis1=ax0, axis2=ax0 + n - offset)
-        n -= 1
-    kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(kept_dim, kept_dim)
-
-
 def require_unit_norm(amplitudes, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Check unit norm within the trace tolerance and return the amplitudes."""
     v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > tol.trace:
+    if not (abs(norm_sq - 1.0) <= tol.trace):
         raise TraceDeviationError(f"squared norm {norm_sq:.17g} deviates from 1")
     return v
 
@@ -278,7 +254,3 @@ def bell_amplitudes() -> np.ndarray:
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return v
-
-
-def maximally_mixed(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128) / dim

@@ -86,14 +86,13 @@ class ScenarioResult:
     comes from d x d unitaries averaged over Gaussian-distributed evolution
     times (or, where that average would outgrow it, from the full-interval
     Liouville exponential), ``final_analytic`` from the entrywise eigenbasis
-    solution; ``asymptotic`` is the projector sum, the same array as
+    solution.  The infinite-time limit, the projector sum, is
     ``born.post_state``.
     """
 
     initial: np.ndarray
     final_numeric: np.ndarray
     final_analytic: np.ndarray
-    asymptotic: np.ndarray
     born: BornPrediction
     spectrum: Spectrum
     generator: GeneratorSpec
@@ -143,7 +142,6 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
         initial=rho0,
         final_numeric=final_numeric,
         final_analytic=final_analytic,
-        asymptotic=born.post_state,
         born=born,
         spectrum=spectrum,
         generator=spec,

@@ -111,10 +111,10 @@ def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closed-form state at time t from the entrywise eigenbasis solution."""
     rho = spectrum.validate_state(rho0, tol)
-    if not (float(tau_c) >= 0.0):
-        raise ValidationError(f"tau_c must be >= 0, got {tau_c}")
-    if not (float(t) >= 0.0):
-        raise ValidationError(f"time must be >= 0, got {t}")
+    if not (0.0 <= float(tau_c) < math.inf):
+        raise ValidationError(f"tau_c must be finite and >= 0, got {tau_c}")
+    if not (0.0 <= float(t) < math.inf):
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
     a0 = to_eigenbasis(spectrum, rho)
     at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, float(tau_c), float(t))
     return from_eigenbasis(spectrum, at)

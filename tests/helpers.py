@@ -1,6 +1,13 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared fixed and random states and operators for the test suite."""
 
 import numpy as np
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
+def maximally_mixed(dim):
+    return np.eye(dim, dtype=np.complex128) / dim
 
 
 def random_hermitian(rng, dim):

@@ -13,12 +13,11 @@ from frqme import (
     born_predict,
     compare_to_prediction,
     eigendecompose,
-    maximally_mixed,
     pure_density,
     qubit_state,
     tensor_product,
 )
-from helpers import random_density, random_hermitian, random_pure_density
+from helpers import maximally_mixed, random_density, random_hermitian, random_pure_density
 
 
 class TestBornPredict:

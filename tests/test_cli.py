@@ -107,6 +107,7 @@ class TestRun:
         assert groups[1]["simulated_weight"] == pytest.approx(p_upper, abs=1e-8)
         initial = as_complex_matrix(doc["matrices"]["initial"])
         assert initial[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert doc["matrices"]["asymptotic"] == doc["matrices"]["born_post_state"]
 
     def test_eps_converge_flag(self, tmp_path):
         out = tmp_path / "out"
@@ -186,8 +187,17 @@ class TestAtomicArtifacts:
 
 
 class TestConfigErrors:
-    def test_negative_kappa(self, tmp_path):
-        assert run_cli("run", "--out", str(tmp_path), "--set", "kappa=-3") == 1
+    @pytest.mark.parametrize("assignment", [
+        "kappa=-3", "omega1=0", "omega1=-1", "tau_c=-1",
+        "tolerances.psd=-1", 'tolerances.herm="tight"', "tolerances.trace=true",
+        # a missing key, which Tolerances would fill from its default
+        "tolerances={}",
+        "compare_tol=-1",
+    ])
+    def test_rejected_value(self, tmp_path, assignment):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", assignment) == 1
+        assert not (out / "result.json").exists()
 
     def test_unknown_scenario(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--set", "scenario=blah") == 1
@@ -328,11 +338,12 @@ class TestSweep:
         }), encoding="utf-8")
         assert run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "o")) == 1
 
-    def test_invalid_sweep_value_rejected_before_any_run(self, tmp_path):
+    @pytest.mark.parametrize("parameter, values", [("kappa", "[5, -1]"), ("omega1", "[1, 0]")])
+    def test_invalid_sweep_value_rejected_before_any_run(self, tmp_path, parameter, values):
         out = tmp_path / "out"
         code = run_cli("sweep", "--out", str(out),
-                       "--set", "sweep.parameter=kappa",
-                       "--set", "sweep.values=[5, -1]")
+                       "--set", f"sweep.parameter={parameter}",
+                       "--set", f"sweep.values={values}")
         assert code == 1
         assert not (out / "sweep.csv").exists()
 

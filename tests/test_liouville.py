@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from frqme import (
     GeneratorSpec,
     NonHermitianError,
-    SIGMA_X,
     SIGMA_Y,
     ValidationError,
     analytic_evolve,
@@ -20,7 +19,6 @@ from frqme import (
     double_commutator_superop,
     eigendecompose,
     matrix_exponential,
-    maximally_mixed,
     propagate,
     pure_density,
     qubit_state,
@@ -28,7 +26,7 @@ from frqme import (
 )
 from frqme import liouville
 from frqme.liouville import _final_state, _gaussian_average, _gaussian_grid, _span_bound
-from helpers import random_density, random_hermitian
+from helpers import SIGMA_X, maximally_mixed, random_density, random_hermitian
 
 
 def drive_with_levels(rng, levels):

@@ -16,14 +16,13 @@ from frqme import (
     convergence_time,
     eigendecompose,
     from_eigenbasis,
-    maximally_mixed,
     propagate,
     pure_density,
     qubit_state,
     to_eigenbasis,
     tensor_product,
 )
-from helpers import random_density, random_hermitian
+from helpers import maximally_mixed, random_density, random_hermitian
 
 
 class TestEigendecompose:
@@ -191,6 +190,13 @@ class TestAnalyticEvolve:
             analytic_evolve(spectrum, rho, 1.0, -1.0)
         with pytest.raises(ValidationError):
             analytic_evolve(spectrum, maximally_mixed(3), 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("argument", ["tau_c", "t"])
+    def test_rejects_non_finite_arguments(self, argument, value):
+        args = {"tau_c": 1.0, "t": 1.0, argument: value}
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            analytic_evolve(eigendecompose(0.5 * SIGMA_Y), maximally_mixed(2), **args)
 
 
 class TestSpectrumStateMethods:
