@@ -8,10 +8,12 @@
 
 The matrices handled here are small: Hilbert dimension up to about 64, and
 Liouville dimension d^2 only where the Liouville exponential still runs
-(``propagate``, the self-checks and the size fallback of the endpoint).
+(``propagate``, extra channels and the self-checks).
 """
 
 import numpy as np
+
+from .operators import ValidationError
 
 # Taylor truncation order for the exponential core.  After the argument is
 # scaled to 1-norm <= 0.5 the remainder past 20 terms is below 1e-25, far
@@ -24,11 +26,14 @@ def expm(a):
     """exp(a) by scaling-and-squaring with a Horner-evaluated Taylor core.
 
     Real input is computed and returned as float64, anything else as
-    complex128.
+    complex128.  No squaring count scales a non-finite 1-norm down, so it
+    raises ValidationError.
     """
     a = np.asarray(a)
     a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
     norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
+    if not np.isfinite(norm):
+        raise ValidationError(f"cannot exponentiate a matrix with 1-norm {norm}")
     squarings = 0
     while norm > NORM_CUTOFF:
         norm *= 0.5

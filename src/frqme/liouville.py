@@ -20,7 +20,8 @@ average of unitary evolutions over Gaussian-distributed times:
     exp(t L) rho = E_xi[U(t + xi) rho U(t + xi)^H],  xi ~ N(0, 2 tau_c t),
 
 with U(s) = exp(-i H s).  It needs only d x d exponentials, where the
-Liouville exponential costs O(d^6).
+Liouville exponential costs O(d^6), and it alone gives a scenario's numeric
+endpoint (``_gaussian_average``).
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix contains non-finite entries")
     t = float(t)
     if not (t >= 0.0) or not np.isfinite(t):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    return _kernels.expm(a * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = a * t  # the kernel refuses a non-finite product
+    return _kernels.expm(a)
 
 
 def propagate(spec: GeneratorSpec, rho0, t: float, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -222,22 +223,28 @@ def _span_bound(h: np.ndarray) -> float:
     return min(gershgorin, math.sqrt(2.0) * float(np.linalg.norm(shifted)))
 
 
-def _gaussian_grid(h: np.ndarray, tau_c: float, t: float):
-    """Trapezoid rule for the Gaussian average: (sigma, spacing, K, m).
+# The most baby steps m the Gaussian average takes: d^2 at the target scale
+# d = 64, where its (m, d, d) stacks stay within the d^2 x d^2 generator.
+_GAUSS_MAX_STEPS = 64 ** 2
 
-    The nodes are xi = k * spacing * sigma for |k| <= K, where the spacing
-    2 pi / (span sigma + 8.6), in units of sigma, keeps the aliasing margin
-    8.6 / sigma above the span; m = ceil(sqrt(2K + 1)) is the number of
-    baby steps.  sigma = 0 gives K = 0 and m = 1; m is inf when
-    span * sigma overflows.
+
+def _gaussian_grid(h: np.ndarray, tau_c: float, t: float):
+    """Trapezoid rule for the Gaussian average: (step, spacing, K, m).
+
+    The nodes are xi = k * step for |k| <= K, step = spacing * sigma, where
+    the spacing 2 pi / (span sigma + 8.6) keeps the aliasing margin 8.6 /
+    sigma above the span; m = ceil(sqrt(2K + 1)) is the number of baby
+    steps.  A zero width span * sigma (sigma = 0, or h a multiple of I)
+    gives K = 0, m = 1 and step 0; m is inf when the width overflows.
     """
     sigma = math.sqrt(2.0 * tau_c * t)
-    width = _span_bound(h) * sigma
+    span = _span_bound(h)
+    width = span * sigma if span else 0.0
     if not math.isfinite(width):
-        return sigma, 0.0, 0, math.inf
+        return math.inf, 0.0, 0, math.inf
     spacing = 2.0 * math.pi / (width + _GAUSS_REACH)
-    k = math.ceil(_GAUSS_REACH / spacing) if sigma else 0
-    return sigma, spacing, k, math.isqrt(2 * k) + 1
+    k = math.ceil(_GAUSS_REACH / spacing) if width else 0
+    return (spacing * sigma if k else 0.0), spacing, k, math.isqrt(2 * k) + 1
 
 
 def _unitarize(x: np.ndarray) -> np.ndarray:
@@ -250,21 +257,24 @@ def _unitarize(x: np.ndarray) -> np.ndarray:
     return x @ (1.5 * np.eye(x.shape[0]) - 0.5 * (x.conj().T @ x))
 
 
-def _gaussian_average(h: np.ndarray, rho: np.ndarray, t: float, grid) -> np.ndarray:
+def _gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) rho for L = -i ad_h - tau_c ad_h^2, from the Milburn form.
 
-    ``grid`` is ``_gaussian_grid(h, tau_c, t)``.  The trapezoid rule over
-    xi_n = (n - K) step, n < N = 2K + 1, with weights exp(-xi^2 / 2 sigma^2)
-    normalised to sum to 1, is summed by baby and giant steps: writing
-    n = i m + j, U(t + xi_n) = P_j G^i V with P_j = U(step)^j,
-    G = U(step)^m and V = U(t - K step).  So the sum is
-    sum_j P_j Y_j P_j^H with Y_j = sum_i w_(i m + j) G^i V rho V^H G^-i:
-    two d x d exponentials and O(m) products.  When sigma = 0 it is the
-    plain conjugation U(t) rho U(t)^H.  The result is exactly Hermitian.
+    The trapezoid rule of ``_gaussian_grid`` over xi_n = (n - K) step,
+    n < N = 2K + 1, with weights exp(-xi^2 / 2 sigma^2) normalised to sum
+    to 1, is summed by baby and giant steps: writing n = i m + j,
+    U(t + xi_n) = P_j G^i V with P_j = U(step)^j, G = U(step)^m and
+    V = U(t - K step).  So the sum is sum_j P_j Y_j P_j^H with
+    Y_j = sum_i w_(i m + j) G^i V rho V^H G^-i: two d x d exponentials and
+    O(m) products.  When sigma = 0 it is the plain conjugation
+    U(t) rho U(t)^H.  The result is exactly Hermitian.  A grid of more than
+    ``_GAUSS_MAX_STEPS`` baby steps raises ValidationError.
     """
     d = h.shape[0]
-    sigma, spacing, k, m = grid
-    step = spacing * sigma
+    step, spacing, k, m = _gaussian_grid(h, tau_c, t)
+    if m > _GAUSS_MAX_STEPS:
+        raise ValidationError(f"the Gaussian average needs {m} baby steps, more than "
+                              f"its limit _GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}")
     # the average is blind to a shift of h by a multiple of the identity
     h0 = h - (np.trace(h).real / d) * np.eye(d)
     # Roundoff leaves V (from its squarings) and G (from m products) off
@@ -291,22 +301,6 @@ def _gaussian_average(h: np.ndarray, rho: np.ndarray, t: float, grid) -> np.ndar
         y = np.tensordot(weights.reshape(m, m), terms, axes=(0, 0))
         out = (powers @ y @ powers.conj().transpose(0, 2, 1)).sum(axis=0)
     return 0.5 * (out + out.conj().T)
-
-
-def _final_state(spec: GeneratorSpec, rho: np.ndarray, t: float,
-                 tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(t L) rho, from the Gaussian average where its size allows.
-
-    That is a generator with no extra channels and m <= d^2 baby steps, so
-    the average's (m, d, d) stacks are never larger than the d^2 x d^2
-    generator.  Anything else takes the Liouville exponential in real
-    coordinates.
-    """
-    if not spec.extra_dissipators:
-        grid = _gaussian_grid(spec.drive, spec.tau_c, t)
-        if grid[3] <= rho.shape[0] ** 2:
-            return _gaussian_average(spec.drive, rho, t, grid)
-    return _propagate_hermitian(build_generator(spec, tol), rho, t)
 
 
 def choi_matrix(superop) -> np.ndarray:

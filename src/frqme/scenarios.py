@@ -8,8 +8,8 @@ infinite-time limit and the measurement prediction for later comparison.
 The time series comes from the closed-form eigenbasis solution, evaluated
 on blocks of grid times.  The numeric endpoint, an independent check on it
 that never diagonalises the drive, is the Milburn Gaussian average over
-evolution times, or the d^2 x d^2 Liouville exponential where that average
-would need more memory (see ``liouville._final_state``).
+evolution times (``liouville._gaussian_average``); a Gaussian width past
+its fixed step limit raises ValidationError.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .born import BornPrediction, _predict
-from .liouville import GeneratorSpec, _final_state
+from .liouville import GeneratorSpec, _gaussian_average
 from .operators import (
     DEFAULT_TOLS,
     SIGMA_Y,
@@ -84,10 +84,8 @@ class ScenarioResult:
     by TIME_SERIES_COLUMNS, computed from the entrywise eigenbasis solution
     with every sample validated as a density matrix.  ``final_numeric``
     comes from d x d unitaries averaged over Gaussian-distributed evolution
-    times (or, where that average would outgrow it, from the full-interval
-    Liouville exponential), ``final_analytic`` from the entrywise eigenbasis
-    solution.  The infinite-time limit, the projector sum, is
-    ``born.post_state``.
+    times, ``final_analytic`` from the entrywise eigenbasis solution.  The
+    infinite-time limit, the projector sum, is ``born.post_state``.
     """
 
     initial: np.ndarray
@@ -102,8 +100,8 @@ class ScenarioResult:
 
 def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
                   tol: Tolerances) -> ScenarioResult:
-    if int(grid_points) < 2:
-        raise ValidationError(f"grid_points must be >= 2, got {grid_points}")
+    if not (float(grid_points) >= 2 and float(grid_points).is_integer()):
+        raise ValidationError(f"grid_points must be an integer >= 2, got {grid_points}")
     grid_points = int(grid_points)
     t_max = float(t_max)
     if not (math.isfinite(t_max) and t_max >= 0.0):
@@ -134,7 +132,8 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
         rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
         rows[:, 3] = trace_distance(coeffs, born_coeffs, tol)
 
-    final_numeric = validate_density_matrix(_final_state(spec, rho0, t_max, tol), tol)
+    final_numeric = validate_density_matrix(
+        _gaussian_average(spec.drive, spec.tau_c, rho0, t_max), tol)
     final_analytic = from_eigenbasis(spectrum, _kernels.evolve_coefficients(
         a0, spectrum.eigenvalues, spec.tau_c, t_max))
 

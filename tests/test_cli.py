@@ -162,6 +162,43 @@ class TestRun:
         assert not (out / "result.json").exists()
 
 
+class TestEndpointLimits:
+    @pytest.mark.parametrize("kappa", ["1e6", "1e8"])
+    @pytest.mark.parametrize("scenario", ["single_qubit", "two_qubit"])
+    def test_long_pulse_passes(self, tmp_path, scenario, kappa):
+        # far past the decay horizon; the endpoint's trace must stay within
+        # 1e-10 of 1
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", f"scenario={scenario}",
+                       "--set", f"kappa={kappa}") == 0
+        assert read_json(out / "result.json")["comparison"]["verdict"] == "pass"
+
+    def test_width_past_the_limit_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", "kappa=1e20") == 2
+        assert "more than its limit _GAUSS_MAX_STEPS = 4096" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    def test_overflowing_custom_run_exits(self, tmp_path):
+        # tau_c * t_max overflows the Gaussian width; run in a subprocess
+        # so that a hang fails the test instead of stalling the suite
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "tau_c": 1e200,
+            "custom": {"hamiltonian": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 100.0]],
+                       "rho0": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                       "t_max": 1e200},
+        }), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "frqme.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "needs inf baby steps" in proc.stderr
+
+
 class TestAtomicArtifacts:
     @staticmethod
     def failing_writer(handle, *args, **kwargs):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frqme import _kernels
+from frqme import ValidationError, _kernels
 
 
 def random_complex(rng, dim, scale=1.0):
@@ -34,6 +34,15 @@ def test_expm_zero_matrix_is_identity():
         _kernels.expm(np.zeros((3, 3), dtype=np.complex128)),
         np.eye(3, dtype=np.complex128),
     )
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_expm_rejects_non_finite_norm(entry):
+    # no number of halvings brings an infinite norm under the cutoff
+    a = np.zeros((2, 2), dtype=np.complex128)
+    a[0, 0] = entry
+    with pytest.raises(ValidationError, match="1-norm"):
+        _kernels.expm(a)
 
 
 def test_expm_diagonal():

@@ -1,5 +1,3 @@
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +22,7 @@ from frqme import (
     qubit_state,
     vectorize,
 )
-from frqme import liouville
-from frqme.liouville import _final_state, _gaussian_average, _gaussian_grid, _span_bound
+from frqme.liouville import _GAUSS_MAX_STEPS, _gaussian_average, _gaussian_grid, _span_bound
 from helpers import SIGMA_X, maximally_mixed, random_density, random_hermitian
 
 
@@ -35,16 +32,6 @@ def drive_with_levels(rng, levels):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     h = (q * np.asarray(levels, dtype=np.float64)) @ q.conj().T
     return 0.5 * (h + h.conj().T)
-
-
-@contextlib.contextmanager
-def liouville_refused():
-    def refuse(*args, **kwargs):
-        raise AssertionError("Liouville exponential used for a Gaussian-average endpoint")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liouville, "build_generator", refuse)
-        yield
 
 
 class TestVectorization:
@@ -190,6 +177,11 @@ class TestMatrixExponential:
         with pytest.raises(ValidationError):
             matrix_exponential(np.eye(2), np.inf)
 
+    def test_rejects_overflowing_product(self):
+        # m and t are finite, m * t is not, and no squaring count scales it down
+        with pytest.raises(ValidationError, match="1-norm inf"):
+            matrix_exponential(np.diag([1e300, 0.0]), 1e10)
+
     def test_real_input_stays_float64(self):
         rng = np.random.default_rng(10)
         m = rng.standard_normal((6, 6))
@@ -235,6 +227,12 @@ class TestPropagate:
         rho = pure_density(qubit_state(0.0, 0.0))
         spec = GeneratorSpec(drive=np.diag([1.0, -1.0]).astype(np.complex128), tau_c=2.0)
         np.testing.assert_allclose(propagate(spec, rho, 5.0), rho, atol=1e-13)
+
+    def test_rejects_overflowing_time(self):
+        # the generator's entries times t overflow
+        spec = GeneratorSpec(drive=np.diag([0.0, 1.0, 100.0]), tau_c=1e200)
+        with pytest.raises(ValidationError, match="1-norm inf"):
+            propagate(spec, maximally_mixed(3), 1e200)
 
     @pytest.mark.parametrize("t", [0.3, 25.0])
     @pytest.mark.parametrize("extras", [0, 2])
@@ -289,7 +287,7 @@ class TestGaussianAverage:
         span = _span_bound(h)
         assert span >= np.ptp(spectrum.eigenvalues) - 1e-12
         t = frac * min(1.5 * convergence_time(spectrum, tau_c, 1e-14), 2e3 / span)
-        out = _gaussian_average(h, rho, t, _gaussian_grid(h, tau_c, t))
+        out = _gaussian_average(h, tau_c, rho, t)
         np.testing.assert_array_equal(out, out.conj().T)
         spec = GeneratorSpec(drive=h, tau_c=tau_c)
         oracle = devectorize(matrix_exponential(build_generator(spec), t) @ vectorize(rho))
@@ -300,16 +298,15 @@ class TestGaussianAverage:
     @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([3, 4, 6, 16]),
            frac=st.floats(1e-3, 1.0), t=st.floats(1e-3, 1.0))
     def test_wide_average_matches_closed_form(self, seed, dim, frac, t):
-        # sigma far beyond t, up to the widest average the size rule admits
-        # (m = d^2), where a giant step left off unitary puts 3e-12 of norm
-        # drift into the populations at d = 16
+        # sigma far beyond t, up to m = d^2 baby steps, where a giant step
+        # left off unitary puts 3e-12 of norm drift into the populations at
+        # d = 16
         rng = np.random.default_rng(seed)
         h, rho = random_hermitian(rng, dim), random_density(rng, dim)
         sigma = frac * (dim ** 4 - 26) / 2.75 / _span_bound(h)
         tau_c = sigma ** 2 / (2.0 * t)
         assert _gaussian_grid(h, tau_c, t)[3] <= dim * dim
-        with liouville_refused():
-            out = _final_state(GeneratorSpec(drive=h, tau_c=tau_c), rho, t)
+        out = _gaussian_average(h, tau_c, rho, t)
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, t)
         assert np.abs(out - expected).max() <= 1e-12
 
@@ -320,8 +317,7 @@ class TestGaussianAverage:
         h, rho = random_hermitian(rng, 64), random_density(rng, 64)
         tau_c = 0.5 * (6.12e5 / _span_bound(h)) ** 2
         assert _gaussian_grid(h, tau_c, 1.0)[3] == 1295
-        with liouville_refused():
-            out = _final_state(GeneratorSpec(drive=h, tau_c=tau_c), rho, 1.0)
+        out = _gaussian_average(h, tau_c, rho, 1.0)
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
         assert np.abs(out - expected).max() <= 1e-12
 
@@ -331,7 +327,7 @@ class TestGaussianAverage:
         h, rho = random_hermitian(rng, 3), random_density(rng, 3)
         assert _gaussian_grid(h, tau_c, t)[2:] == (0, 1)
         u = matrix_exponential(-1j * h, t)
-        out = _gaussian_average(h, rho, t, _gaussian_grid(h, tau_c, t))
+        out = _gaussian_average(h, tau_c, rho, t)
         assert np.abs(out - u @ rho @ u.conj().T).max() <= 1e-13
         np.testing.assert_array_equal(out, out.conj().T)
 
@@ -341,44 +337,45 @@ class TestGaussianAverage:
     ], ids=["width_overflows", "width_underflows"])
     def test_extreme_widths_leave_the_state_unchanged(self, h, tau_c, t):
         rho = random_density(np.random.default_rng(9), 3)
-        out = _final_state(GeneratorSpec(drive=h, tau_c=tau_c), rho, t)
+        out = _gaussian_average(h, tau_c, rho, t)
         assert np.abs(out - rho).max() <= 1e-15
 
-    @pytest.mark.parametrize("basis", ["diagonal", "rotated"])
-    @pytest.mark.parametrize("levels, t, rotated_tol", [
-        ([0.0, 1.0, 100.0], 1e3, 1e-8),
-        ([-1.0, -0.5, 0.2, 0.201, 0.9, 1.4, 2.0, 2.6], 3.2e7, 2e-7),
-    ], ids=["stiff", "near_degenerate"])
-    def test_stiff_and_long_horizon_take_the_liouville_path(self, monkeypatch, basis,
-                                                             levels, t, rotated_tol):
-        # span * sigma is so wide that the average would need more than d^2
-        # baby steps.  The exponential matches the closed form exactly for
-        # a diagonal drive; in a rotated basis its 20-odd squarings amplify
-        # roundoff, to 0.4-2.2e-9 (stiff) and 0.7-5.3e-8 (near-degenerate)
-        # over seeds 0-7: the fallback's accuracy pinned here.
-        rng = np.random.default_rng(7)
-        if basis == "diagonal":
-            h, tol = np.diag(levels).astype(np.complex128), 1e-12
-        else:
-            h, tol = drive_with_levels(rng, levels), rotated_tol
-        rho = random_density(rng, len(levels))
-        assert _gaussian_grid(h, 1.0, t)[3] > len(levels) ** 2
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(3, 8),
+           stiff=st.booleans(), rotated=st.booleans(),
+           scale=st.floats(0.0, 1.0), tau_c=st.floats(0.1, 3.0),
+           factor=st.floats(1.0, 3.0))
+    def test_stiff_and_near_degenerate_drives_match_closed_form(
+            self, seed, dim, stiff, rotated, scale, tau_c, factor):
+        # Gaps of 0.5-1.5 with one gap replaced: by 30-1000 (stiff) or by
+        # 1e-3-1e-2 (near-degenerate), and t from 1x to 3x the 1e-14 decay
+        # horizon of the smallest gap, up to 1e9.  Worst of 1500 draws
+        # 2.3e-13, in both bases; the d^2 x d^2 exponential is exact on
+        # these drives only when they are diagonal, and 1e-9 to 5e-8 off in
+        # a rotated basis.
+        rng = np.random.default_rng(seed)
+        gaps = rng.uniform(0.5, 1.5, dim - 1)
+        gaps[rng.integers(dim - 1)] = 30.0 * 33.4 ** scale if stiff else 1e-3 * 10.0 ** scale
+        levels = np.concatenate(([0.0], np.cumsum(gaps)))
+        h = drive_with_levels(rng, levels) if rotated else np.diag(levels).astype(np.complex128)
+        rho = random_density(rng, dim)
+        spectrum = eigendecompose(h)
+        t = factor * convergence_time(spectrum, tau_c, 1e-14)
+        out = _gaussian_average(h, tau_c, rho, t)
+        np.testing.assert_array_equal(out, out.conj().T)
+        assert np.abs(out - analytic_evolve(spectrum, rho, tau_c, t)).max() <= 1e-12
 
-        def refuse(*args):
-            raise AssertionError("Gaussian average used past its size limit")
-
-        monkeypatch.setattr(liouville, "_gaussian_average", refuse)
-        out = _final_state(GeneratorSpec(drive=h, tau_c=1.0), rho, t)
-        expected = analytic_evolve(eigendecompose(h), rho, 1.0, t)
-        assert np.abs(out - expected).max() <= tol
-
-    def test_extra_dissipators_take_the_liouville_path(self):
-        rng = np.random.default_rng(12)
-        spec = GeneratorSpec(drive=random_hermitian(rng, 3), tau_c=0.5,
-                             extra_dissipators=((random_hermitian(rng, 3), 0.4),))
-        rho = random_density(rng, 3)
-        oracle = devectorize(matrix_exponential(build_generator(spec), 2.0) @ vectorize(rho))
-        assert np.abs(_final_state(spec, rho, 2.0) - oracle).max() <= 1e-12
+    def test_width_past_the_limit_is_refused(self):
+        # levels 0 and 1, so m = isqrt(2K) + 1 with K = ceil(8.6 (sigma + 8.6) / 2 pi)
+        h, rho = np.diag([0.0, 1.0]).astype(np.complex128), np.eye(2) / 2
+        tau_c = 0.5 * (2.0 * np.pi * (_GAUSS_MAX_STEPS ** 2 / 2 + 1) / 8.6) ** 2
+        assert _gaussian_grid(h, tau_c, 1.0)[3] == _GAUSS_MAX_STEPS + 1
+        with pytest.raises(ValidationError, match=(
+                f"needs {_GAUSS_MAX_STEPS + 1} baby steps, more than its limit "
+                f"_GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}")):
+            _gaussian_average(h, tau_c, rho, 1.0)
+        with pytest.raises(ValidationError, match="needs inf baby steps"):
+            _gaussian_average(h, 1e308, rho, 1e308)
 
 
 class TestChoiMatrix:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,38 @@ def near_degenerate_drive(seed):
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     h = (q * levels) @ q.conj().T
     return 0.5 * (h + h.conj().T), random_density(rng, 8)
+
+
+def stiff_drive(seed):
+    """d = 3 drive with levels 0, 1 and 100 in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    h = (q * np.array([0.0, 1.0, 100.0])) @ q.conj().T
+    return 0.5 * (h + h.conj().T), random_density(rng, 3)
+
+
+@pytest.fixture
+def liouville_refused(monkeypatch):
+    """Make every use of the d^2 x d^2 Liouville exponential fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("Liouville exponential used for a scenario endpoint")
+
+    for name in ("build_generator", "_propagate_hermitian"):
+        for module in (liouville, scenarios):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: single_qubit_scenario(np.pi / 2, np.pi / 4),
+    lambda: custom_scenario(*stiff_drive(7), tau_c=1.0, t_max=1e3, grid_points=3),
+    lambda: custom_scenario(*near_degenerate_drive(7), tau_c=1.0, t_max=3.2e7,
+                            grid_points=3),
+], ids=["default_single_qubit", "custom_stiff", "custom_near_degenerate"])
+def test_endpoint_never_takes_the_liouville_exponential(liouville_refused, make):
+    # the Gaussian average is the endpoint's one path, also for stiff and
+    # near-degenerate drives, where its rule takes more than d^2 baby steps
+    result = make()
+    assert np.abs(result.final_numeric - result.final_analytic).max() <= 1e-12
 
 
 @pytest.mark.parametrize("make, groups", [
@@ -315,12 +349,7 @@ class TestCustomScenario:
         assert np.abs(result.final_numeric - result.final_analytic).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_dense_endpoint_needs_no_liouville_generator(self, monkeypatch, seed):
-        def refuse(*args, **kwargs):
-            raise AssertionError("d^2 x d^2 generator built for a scenario endpoint")
-
-        for module in (liouville, scenarios):
-            monkeypatch.setattr(module, "build_generator", refuse, raising=False)
+    def test_dense_endpoint_needs_no_liouville_generator(self, liouville_refused, seed):
         h, rho = dense_drive_and_state(seed)
         gap = 4.0 / 11.0
         t_max = 1.25 * -np.log(1e-14) / gap ** 2
@@ -373,6 +402,16 @@ class TestCustomScenario:
         rho = maximally_mixed(2)
         with pytest.raises(ValidationError):
             custom_scenario(np.eye(2), rho, 1.0, 1.0, grid_points=1)
+
+    @pytest.mark.parametrize("grid_points", [2.9, math.nan, math.inf])
+    def test_rejects_non_integral_grid(self, grid_points):
+        with pytest.raises(ValidationError, match="grid_points must be an integer >= 2"):
+            custom_scenario(np.diag([0.0, 1.0]), maximally_mixed(2), 1.0, 1.0,
+                            grid_points=grid_points)
+
+    def test_width_past_the_limit_is_refused(self):
+        with pytest.raises(ValidationError, match="more than its limit _GAUSS_MAX_STEPS = 4096"):
+            single_qubit_scenario(0.3, 0.2, PulseSpec(kappa=1e20), grid_points=3)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
