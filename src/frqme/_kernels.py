@@ -27,7 +27,7 @@ def expm(a):
 
     Real input is computed and returned as float64, anything else as
     complex128.  No squaring count scales a non-finite 1-norm down, so it
-    raises ValidationError.
+    raises ValidationError, as it does when the squarings overflow.
     """
     a = np.asarray(a)
     a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
@@ -43,8 +43,11 @@ def expm(a):
     r = eye.copy()
     for k in range(TAYLOR_TERMS, 0, -1):
         r = eye + (b @ r) / k
-    for _ in range(squarings):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise ValidationError(f"the exponential overflowed in {squarings} squarings")
     return r
 
 

@@ -281,8 +281,13 @@ def _gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) ->
     # unitary by about eps times their phase or product count, and the m
     # conjugations by G carry that norm error into the populations, which
     # the average never dephases (left in, it reaches 1e-10 at d = 64).
+    # Each Newton-Schulz step squares the norm error.  G gets one; V gets
+    # two, because far past the decay horizon its squarings leave it off by
+    # up to 4e-5 (t = 1e12 at d = 2), which one step only brings to 1e-9.
     # The phase error that remains cancels as the coherences decay.
-    v = _unitarize(_kernels.expm(-1j * (t - k * step) * h0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = -1j * (t - k * step) * h0  # expm refuses a non-finite one
+    v = _unitarize(_unitarize(_kernels.expm(offset)))
     out = v @ rho @ v.conj().T
     if k:
         u = _kernels.expm(-1j * step * h0)
@@ -295,10 +300,22 @@ def _gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) ->
         terms[0] = out
         for i in range(1, m):
             terms[i] = giant @ terms[i - 1] @ giant.conj().T
-        weights = np.zeros(m * m)
-        weights[:2 * k + 1] = np.exp(-0.5 * ((np.arange(2 * k + 1) - k) * spacing) ** 2)
-        weights /= weights.sum()
-        y = np.tensordot(weights.reshape(m, m), terms, axes=(0, 0))
+        # Y = W^T T for the m x m weights W[i, j] = w_(i m + j), formed d^2
+        # baby-step columns at a time: a block holds half as many floats as
+        # the terms stack, so no m^2 array (98 MB at d = 2, m = 3500) exists
+        # while m > d^2, and each block of Y is one matrix product, on T's
+        # real view.
+        flat = terms.view(np.float64).reshape(m, -1)
+        y = np.empty_like(flat)
+        row_offsets = np.arange(m)[:, None] * m - k
+        total = 0.0
+        for first in range(0, m, d * d):
+            n = row_offsets + np.arange(first, min(first + d * d, m))  # node - K
+            w = np.where(n <= k, np.exp(-0.5 * (n * spacing) ** 2), 0.0)
+            total += w.sum()
+            np.matmul(w.T, flat, out=y[first:first + w.shape[1]])
+        y /= total
+        y = y.view(np.complex128).reshape(m, d, d)
         out = (powers @ y @ powers.conj().transpose(0, 2, 1)).sum(axis=0)
     return 0.5 * (out + out.conj().T)
 

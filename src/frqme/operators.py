@@ -155,9 +155,22 @@ def validate_density_matrix(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     own.  Raises NonHermitianError, TraceDeviationError or
     NegativeEigenvalueError depending on which invariant fails first; the
     checks are NaN-safe, so a non-finite state never passes.
+
+    Positivity is decided by one Cholesky factorisation of a + psd * I
+    (every sample at once): it succeeds only if each smallest eigenvalue
+    exceeds -tol.psd, up to a backward error of about d * eps, since a
+    factor that exists is bounded by the unit trace.  Only when it fails
+    does the eigenvalue solver run, to decide within that roundoff and to
+    report the first sample below -tol.psd with its smallest eigenvalue.
     """
     a = _require_unit_trace(require_hermitian(m, tol), tol)
-    _require_psd(np.linalg.eigvalsh(a)[..., 0], tol)
+    shifted = a.copy()
+    d = a.shape[-1]
+    shifted.reshape(a.shape[:-2] + (d * d,))[..., ::d + 1] += tol.psd
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        _require_psd(np.linalg.eigvalsh(a)[..., 0], tol)
     return a
 
 

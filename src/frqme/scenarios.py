@@ -115,6 +115,11 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     born = _predict(spectrum, rho0, tol)
     cross = spectrum.labels[:, None] != spectrum.labels[None, :]
 
+    # The average rejects a Gaussian width past its step limit, so it runs
+    # before the series, whose exponent would overflow at such a width.
+    final_numeric = validate_density_matrix(
+        _gaussian_average(spec.drive, spec.tau_c, rho0, t_max), tol)
+
     # Closed form in the eigenbasis: a_ij(t) = a_ij(0) exp((-i D_ij - tau_c D_ij^2) t).
     # Purity and trace distance are unitarily invariant, so they are taken
     # on the coefficients directly.
@@ -132,8 +137,6 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
         rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
         rows[:, 3] = trace_distance(coeffs, born_coeffs, tol)
 
-    final_numeric = validate_density_matrix(
-        _gaussian_average(spec.drive, spec.tau_c, rho0, t_max), tol)
     final_analytic = from_eigenbasis(spectrum, _kernels.evolve_coefficients(
         a0, spectrum.eigenvalues, spec.tau_c, t_max))
 

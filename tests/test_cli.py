@@ -173,6 +173,13 @@ class TestEndpointLimits:
                        "--set", f"kappa={kappa}") == 0
         assert read_json(out / "result.json")["comparison"]["verdict"] == "pass"
 
+    def test_offset_far_past_the_horizon_passes(self, tmp_path):
+        # kappa = 1e12 leaves the offset unitary off by 4e-5 before its
+        # Newton-Schulz steps; one step left the trace 1.2e-9 off
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", "kappa=1e12") == 0
+        assert read_json(out / "result.json")["comparison"]["verdict"] == "pass"
+
     def test_width_past_the_limit_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("run", "--out", str(out), "--set", "kappa=1e20") == 2
@@ -197,6 +204,32 @@ class TestEndpointLimits:
         )
         assert proc.returncode == 2, proc.stderr
         assert "needs inf baby steps" in proc.stderr
+
+    @pytest.mark.parametrize("levels, tau_c, t_max", [
+        ([0.0, 1.0, 100.0], 1e200, 1e200),
+        ([0.0, 1e10], 0.0, 1e300),
+        ([0.0, 1.0], 0.0, 1e300),
+    ], ids=["width", "offset", "squarings"])
+    def test_overflow_exits_without_a_warning(self, tmp_path, levels, tau_c, t_max):
+        # a subprocess, so that numpy's RuntimeWarnings print as they would
+        # for a user instead of raising
+        rho0 = np.zeros((len(levels),) * 2)
+        rho0[0, 0] = 1.0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "tau_c": tau_c,
+            "custom": {"hamiltonian": np.diag(levels).tolist(), "rho0": rho0.tolist(),
+                       "t_max": t_max},
+        }), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "frqme.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "numerical validation failure" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestAtomicArtifacts:

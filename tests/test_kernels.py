@@ -45,6 +45,14 @@ def test_expm_rejects_non_finite_norm(entry):
         _kernels.expm(a)
 
 
+def test_expm_overflowing_squarings_raise():
+    # a finite 1-norm of 1e300 takes 998 squarings, which roundoff drives
+    # to overflow
+    a = np.array([[0.0, 1e300], [-1e300, 0.0]])
+    with pytest.raises(ValidationError, match="overflowed in 998 squarings"):
+        _kernels.expm(a)
+
+
 def test_expm_diagonal():
     d = np.diag(np.array([0.3 - 2.0j, -1.0 + 0.4j, 5.0]))
     np.testing.assert_allclose(

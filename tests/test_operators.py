@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frqme import (
@@ -148,6 +148,71 @@ class TestStacks:
             validate_density_matrix(np.ones((2, 2, 3)))
         with pytest.raises(DimensionMismatchError):
             trace_distance(np.ones((2, 3, 3)), np.eye(2))
+
+
+class TestPositivityDecision:
+    """Positivity is decided by a Cholesky factorisation of a + psd * I.
+
+    It must agree with the eigenvalue test eigvalsh(a)[..., 0] >= -psd
+    everywhere but within roundoff of -psd, and report what it reports.
+    """
+
+    @staticmethod
+    def expected_message(smallest, psd, stacked):
+        i = int(np.argmax(smallest < -psd))
+        where = f" in sample {i}" if stacked else ""
+        return f"smallest eigenvalue {smallest[i]:.3e}{where} is below -{psd:.3e}"
+
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 16),
+           psd=st.sampled_from([DEFAULT_TOLS.psd, 1e-6]),
+           scaled=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+           stacked=st.booleans())
+    def test_fails_exactly_below_minus_psd(self, seed, dim, psd, scaled, stacked):
+        rng = np.random.default_rng(seed)
+        samples = []
+        for s in scaled:
+            rest = rng.uniform(0.5, 1.0, dim - 1)
+            levels = np.concatenate(([s * psd], (1.0 - s * psd) * rest / rest.sum()))
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                                + 1j * rng.standard_normal((dim, dim)))
+            rho = (q * levels) @ q.conj().T
+            samples.append(0.5 * (rho + rho.conj().T))
+        a = np.array(samples) if stacked or len(samples) > 1 else samples[0]
+        smallest = np.atleast_1d(np.linalg.eigvalsh(a)[..., 0])
+        assume(np.all(np.abs(smallest + psd) > 1e-12))
+        tol = Tolerances(psd=psd)
+        if np.all(smallest >= -psd):
+            assert validate_density_matrix(a, tol) is a
+        else:
+            message = self.expected_message(smallest, psd, a.ndim == 3)
+            with pytest.raises(NegativeEigenvalueError) as failure:
+                validate_density_matrix(a, tol)
+            assert str(failure.value) == message
+
+    def test_reports_a_failing_sample_in_the_middle(self):
+        stack = np.array([maximally_mixed(3)] * 9)
+        stack[4] = np.diag([0.5, 0.5 + 2e-9, -2e-9])
+        with pytest.raises(NegativeEigenvalueError) as failure:
+            validate_density_matrix(stack)
+        assert str(failure.value) == (
+            "smallest eigenvalue -2.000e-09 in sample 4 is below -1.000e-09")
+
+    def test_passing_stack_needs_no_eigendecomposition(self, monkeypatch):
+        stack = TestStacks.states(31, n=50, dim=4)
+        stack[7] = np.diag([0.5, 0.5 + 5e-10, 0.0, -5e-10])
+
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert validate_density_matrix(stack) is stack
+
+    def test_overflowing_factor_still_fails(self):
+        # finite, Hermitian and of unit trace, but the Cholesky factor overflows
+        a = np.array([[0.5, 1e300], [1e300, 0.5]], dtype=np.complex128)
+        with pytest.raises(NegativeEigenvalueError, match="smallest eigenvalue -1.000e\\+300"):
+            validate_density_matrix(a)
 
 
 class TestProjectToPhysical:

@@ -413,6 +413,19 @@ class TestCustomScenario:
         with pytest.raises(ValidationError, match="more than its limit _GAUSS_MAX_STEPS = 4096"):
             single_qubit_scenario(0.3, 0.2, PulseSpec(kappa=1e20), grid_points=3)
 
+    @pytest.mark.parametrize("levels, tau_c, t_max, message", [
+        ([0.0, 1.0, 100.0], 1e200, 1e200, "needs inf baby steps"),
+        ([0.0, 1e10], 0.0, 1e300, "1-norm inf"),
+        ([0.0, 1.0], 0.0, 1e300, "overflowed in 997 squarings"),
+    ], ids=["width", "offset", "squarings"])
+    def test_overflow_raises_without_a_warning(self, levels, tau_c, t_max, message):
+        # RuntimeWarnings are errors in this suite, so one that escaped
+        # first would fail the match on ValidationError
+        rho = np.zeros((len(levels),) * 2)
+        rho[0, 0] = 1.0
+        with pytest.raises(ValidationError, match=message):
+            custom_scenario(np.diag(levels), rho, tau_c, t_max, grid_points=5)
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
             custom_scenario(np.eye(2), maximally_mixed(2), 1.0, -1.0)
