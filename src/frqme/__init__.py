@@ -7,13 +7,16 @@ scaled by the drive correlation time,
     d rho / dt = -i [H, rho] - tau_c [H, [H, rho]],
 
 so every coherence between distinct drive eigenvalues decays while each
-degenerate subspace is left untouched.  The package builds and exponentiates
-the corresponding superoperators, evolves states numerically and in closed
-form, extracts the asymptotic state, and compares it against the projective
-prediction sum_k P_k rho P_k with outcome weights Tr(P_k rho).  The exports
-are the pieces of that pipeline: states and their validation, the generator
-and its exponential, the eigenbasis solution, the prediction and its
-comparison, the packaged scenarios and the self-checks.
+degenerate subspace is left untouched.  The package evolves states in closed
+form and numerically, extracts the asymptotic state, and compares it against
+the projective prediction sum_k P_k rho P_k with outcome weights Tr(P_k rho).
+The numeric endpoint of a scenario comes from the Milburn form, an average
+of d x d unitary evolutions over Gaussian-distributed times
+(frqme.milburn); the d^2 x d^2 Liouville exponential (frqme.liouville,
+``propagate``) is the oracle behind the self-checks.  The exports are the
+pieces of that pipeline: states and their validation, the generator and its
+exponential, the eigenbasis solution, the prediction and its comparison, the
+packaged scenarios and the self-checks.
 
 numpy is the only runtime dependency; the kernels in frqme._kernels are one
 plain numpy function each: the matrix exponential and the entrywise

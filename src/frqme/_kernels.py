@@ -25,12 +25,11 @@ NORM_CUTOFF = 0.5
 def expm(a):
     """exp(a) by scaling-and-squaring with a Horner-evaluated Taylor core.
 
-    Real input is computed and returned as float64, anything else as
-    complex128.  No squaring count scales a non-finite 1-norm down, so it
-    raises ValidationError, as it does when the squarings overflow.
+    Computed and returned as complex128.  No squaring count scales a
+    non-finite 1-norm down, so it raises ValidationError, as it does when
+    the squarings overflow.
     """
-    a = np.asarray(a)
-    a = a.astype(np.float64 if np.isrealobj(a) else np.complex128, copy=False)
+    a = np.asarray(a, dtype=np.complex128)
     norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
     if not np.isfinite(norm):
         raise ValidationError(f"cannot exponentiate a matrix with 1-norm {norm}")

@@ -8,8 +8,9 @@ infinite-time limit and the measurement prediction for later comparison.
 The time series comes from the closed-form eigenbasis solution, evaluated
 on blocks of grid times.  The numeric endpoint, an independent check on it
 that never diagonalises the drive, is the Milburn Gaussian average over
-evolution times (``liouville._gaussian_average``); a Gaussian width past
-its fixed step limit raises ValidationError.
+evolution times (``milburn.gaussian_average``); a Gaussian width past its
+fixed step limit raises ValidationError.  The d^2 x d^2 Liouville
+exponential is not on this path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .born import BornPrediction, _predict
-from .liouville import GeneratorSpec, _gaussian_average
+from .liouville import GeneratorSpec
+from .milburn import gaussian_average
 from .operators import (
     DEFAULT_TOLS,
     SIGMA_Y,
@@ -118,7 +120,7 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     # The average rejects a Gaussian width past its step limit, so it runs
     # before the series, whose exponent would overflow at such a width.
     final_numeric = validate_density_matrix(
-        _gaussian_average(spec.drive, spec.tau_c, rho0, t_max), tol)
+        gaussian_average(spec.drive, spec.tau_c, rho0, t_max), tol)
 
     # Closed form in the eigenbasis: a_ij(t) = a_ij(0) exp((-i D_ij - tau_c D_ij^2) t).
     # Purity and trace distance are unitarily invariant, so they are taken

@@ -4,8 +4,9 @@ Nine deterministic checks exercise the package end to end: closed-form
 single- and two-qubit pulse endpoints, the projective-measurement limit on
 randomized instances, complete positivity of the propagator, algebraic
 identities of the generator, monotonic purity loss with exponential
-coherence decay, and idempotence of a completed pulse.  Randomized checks
-use a fixed seed, so two runs produce identical reports.
+coherence decay and a scenario endpoint that matches the closed form, and
+idempotence of a completed pulse.  Randomized checks use a fixed seed, so
+two runs produce identical reports.
 """
 
 from __future__ import annotations
@@ -355,10 +356,13 @@ def _check_dissipative_decay(tol: Tolerances):
     usable = series[:, 2] > 1e-12
     slope = float(np.polyfit(series[usable, 0], np.log(series[usable, 2]), 1)[0])
     slope_error = abs(slope - (-1.0))
-    passed = rise <= 1e-12 and slope_error <= 0.01
+    # the production endpoint (the Gaussian average) against the closed form
+    endpoint = _max_entry_error(result.final_numeric, result.final_analytic)
+    passed = rise <= 1e-12 and slope_error <= 0.01 and endpoint <= 1e-10
     return passed, (
         f"max purity increase {rise:.3e} (limit 1e-12); coherence log-slope {slope:.6f} "
-        f"vs -1 (relative limit 0.01) on {int(usable.sum())} points"
+        f"vs -1 (relative limit 0.01) on {int(usable.sum())} points; "
+        f"endpoint vs closed form {endpoint:.3e} (limit 1e-10)"
     )
 
 

@@ -7,6 +7,7 @@ human-readable report.  The first four checks also carry runtime budgets.
 
 import pytest
 
+from frqme import scenarios
 from frqme.verify import run_checks
 
 
@@ -62,3 +63,13 @@ def test_decay_is_monotonic_with_predicted_rate(report):
 
 def test_repeated_pulse_is_fixed_point(report):
     _assert_check(report, "repeated_pulse_fixed_point")
+
+
+def test_broken_gaussian_average_fails_dissipative_decay(monkeypatch):
+    # an endpoint path that returns the initial state unchanged is caught,
+    # and only by the check that reads the scenario endpoint
+    monkeypatch.setattr(scenarios, "gaussian_average", lambda h, tau_c, rho, t: rho)
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["dissipative_decay"]
+    assert failed[0].kind == "comparison"
+    print(f"dissipative_decay with a broken average: FAIL  {failed[0].detail}")

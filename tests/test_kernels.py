@@ -70,11 +70,11 @@ def test_expm_accepts_non_contiguous_float_input():
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 50.0])
-def test_expm_real_input_stays_real(scale):
+def test_expm_real_input_gives_complex128(scale):
     rng = np.random.default_rng(13)
     a = scale * rng.standard_normal((7, 7))
     out = _kernels.expm(a)
-    assert out.dtype == np.float64
+    assert out.dtype == np.complex128
     expected = scipy.linalg.expm(a)
     tolerance = 1e-12 * max(1.0, float(np.abs(expected).max()))
     np.testing.assert_allclose(out, expected, rtol=1e-11, atol=tolerance)

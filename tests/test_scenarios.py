@@ -29,7 +29,7 @@ from frqme import (
     validate_density_matrix,
     vectorize,
 )
-from frqme import _kernels, liouville, operators, scenarios, spectral
+from frqme import _kernels, liouville, milburn, operators, scenarios, spectral
 from helpers import maximally_mixed, random_density, random_hermitian
 
 
@@ -140,13 +140,20 @@ def stiff_drive(seed):
 
 @pytest.fixture
 def liouville_refused(monkeypatch):
-    """Make every use of the d^2 x d^2 Liouville exponential fail."""
+    """Make every use of the d^2 x d^2 Liouville exponential fail.
+
+    The generator and its exponential are refused where they are defined
+    and under any name that ``milburn`` or ``scenarios`` might bind.
+    """
     def refuse(*args, **kwargs):
         raise AssertionError("Liouville exponential used for a scenario endpoint")
 
-    for name in ("build_generator", "_propagate_hermitian"):
-        for module in (liouville, scenarios):
+    for name in ("build_generator", "matrix_exponential"):
+        monkeypatch.setattr(liouville, name, refuse)
+        for module in (milburn, scenarios):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    with pytest.raises(AssertionError, match="Liouville exponential used"):
+        liouville.propagate(liouville.GeneratorSpec(drive=np.eye(2)), maximally_mixed(2), 1.0)
 
 
 @pytest.mark.parametrize("make", [
