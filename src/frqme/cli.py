@@ -8,8 +8,10 @@ Subcommands:
 
 Configuration is JSON (UTF-8); any value can be overridden on the command
 line with ``--set dotted.key=value``.  Complex matrix entries are objects
-``{"re": x, "im": y}`` (bare numbers are accepted as real entries).  Output
-tables are RFC-4180 CSV with float cells printed to 17 significant digits.
+``{"re": x, "im": y}`` (bare numbers are accepted as real entries).
+``result.json`` is laid out exactly as ``json.dumps(document, indent=2,
+sort_keys=True)`` plus a newline.  Output tables are RFC-4180 CSV with
+float cells printed to 17 significant digits.
 Identical configuration produces byte-identical artifacts; the package
 version is stamped in the result document, never a timestamp.
 
@@ -196,6 +198,13 @@ def _validate_config(config: dict) -> dict:
 def _parse_complex_matrix(node, name: str) -> np.ndarray:
     if not isinstance(node, list) or not node or not all(isinstance(r, list) for r in node):
         raise UsageError(f"{name} must be a non-empty list of rows")
+
+    def part(value, cell) -> float:
+        # a non-bool JSON number; a non-finite one fails validation later
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"{name} entry {cell!r} is not numeric")
+        return float(value)
+
     rows = []
     for row in node:
         parsed = []
@@ -204,16 +213,10 @@ def _parse_complex_matrix(node, name: str) -> np.ndarray:
                 extra = set(cell) - {"re", "im"}
                 if extra:
                     raise UsageError(f"{name} entries allow only 're' and 'im', got {sorted(extra)}")
-                try:
-                    parsed.append(complex(float(cell.get("re", 0.0)), float(cell.get("im", 0.0))))
-                except (TypeError, ValueError):
-                    raise UsageError(f"{name} entry {cell!r} is not numeric")
-            elif isinstance(cell, bool):
-                raise UsageError(f"{name} entry {cell!r} is not numeric")
-            elif isinstance(cell, (int, float)):
-                parsed.append(complex(float(cell), 0.0))
+                parsed.append(complex(part(cell.get("re", 0.0), cell),
+                                      part(cell.get("im", 0.0), cell)))
             else:
-                raise UsageError(f"{name} entry {cell!r} is not numeric")
+                parsed.append(complex(part(cell, cell), 0.0))
         rows.append(parsed)
     if any(len(r) != len(rows) for r in rows):
         raise UsageError(f"{name} must be square, got row lengths {[len(r) for r in rows]}")
@@ -236,14 +239,8 @@ def _execute(config: dict, tol: Tolerances) -> ScenarioResult:
     return two_qubit_scenario(pulse, config["grid_points"], tol)
 
 
-def _matrix_doc(m) -> list:
-    return [
-        [{"re": float(z.real), "im": float(z.imag)} for z in row]
-        for row in np.asarray(m, dtype=np.complex128)
-    ]
-
-
 def _result_document(config: dict, result: ScenarioResult, report) -> dict:
+    """The result document; its "matrices" hold the complex arrays themselves."""
     scenario = config["scenario"]
     spectrum = result.spectrum
     ct = convergence_time(spectrum, config["tau_c"], config["eps_converge"])
@@ -274,11 +271,11 @@ def _result_document(config: dict, result: ScenarioResult, report) -> dict:
         "scenario": scenario,
         "parameters": parameters,
         "matrices": {
-            "initial": _matrix_doc(result.initial),
-            "final": _matrix_doc(result.final_numeric),
-            "final_analytic": _matrix_doc(result.final_analytic),
-            "asymptotic": _matrix_doc(result.born.post_state),
-            "born_post_state": _matrix_doc(result.born.post_state),
+            "initial": result.initial,
+            "final": result.final_numeric,
+            "final_analytic": result.final_analytic,
+            "asymptotic": result.born.post_state,
+            "born_post_state": result.born.post_state,
         },
         "degeneracy_groups": groups,
         "convergence_time": None if math.isinf(ct) else ct,
@@ -310,9 +307,37 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, document: dict) -> None:
+def _matrix_text(m: np.ndarray) -> str:
+    """``m`` as json.dumps(indent=2) writes it as a value of result.json's "matrices".
+
+    Rows of {"im": y, "re": x} objects fill one %-template.  The floats'
+    text comes from one json.dumps of the flat (im, re) list, whose C
+    encoder writes them as the indented one does: float.__repr__, NaN, Infinity.
+    """
+    cell = '        {\n          "im": %s,\n          "re": %s\n        }'
+    row = "      [\n" + ",\n".join((cell,) * m.shape[1]) + "\n      ]"
+    template = "[\n" + ",\n".join((row,) * m.shape[0]) + "\n    ]"
+    floats = np.stack([m.imag, m.real], axis=-1).ravel().tolist()
+    return template % tuple(json.dumps(floats)[1:-1].split(", "))
+
+
+def _write_result(path: Path, document: dict) -> None:
+    """Write a result document as json.dumps(indent=2, sort_keys=True) plus a newline.
+
+    json's indented encoder is pure Python and would walk every matrix
+    entry, so only the rest of the document goes through it, with a NUL
+    string (which nothing else in a result holds) in each matrix's place.
+    The slots come out in sorted key order, and each takes its matrix's
+    text, formatted once per array even when two keys hold the same one.
+    """
+    matrices = document["matrices"]
+    skeleton = dict(document, matrices=dict.fromkeys(matrices, "\0"))
+    pieces = json.dumps(skeleton, indent=2, sort_keys=True).split(json.dumps("\0"))
+    arrays = {id(m): m for m in matrices.values()}
+    texts = {ident: _matrix_text(m) for ident, m in arrays.items()}
+    slots = [texts[id(matrices[key])] for key in sorted(matrices)] + ["\n"]
     with _replacing(path) as tmp:
-        tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        tmp.write_text("".join(p + s for p, s in zip(pieces, slots)), encoding="utf-8")
 
 
 def _write_csv(path: Path, header, cell_formats, rows) -> None:
@@ -346,7 +371,7 @@ def cmd_run(config: dict) -> int:
         (_FLOAT_CELL,) * len(TIME_SERIES_COLUMNS),
         result.time_series.tolist(),
     )
-    _write_json(out_dir / "result.json", _result_document(config, result, report))
+    _write_result(out_dir / "result.json", _result_document(config, result, report))
     print(f"scenario {config['scenario']}: verdict {report.verdict} "
           f"(trace distance {report.trace_distance:.17g}, "
           f"threshold {report.tol:.17g})")

@@ -66,6 +66,12 @@ def _gaussian_grid(h: np.ndarray, tau_c: float, t: float):
     return (spacing * sigma if k else 0.0), spacing, k, math.isqrt(2 * k) + 1
 
 
+# The byte budget of the three (block, d, d) complex temporaries of each
+# block of sum_j P_j Y_j P_j^H; a grid whose m baby steps fit in one block
+# is summed in one piece.
+_SUM_BLOCK_BYTES = 16 * 2 ** 20
+
+
 def _unitarize(x: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step towards the unitary polar factor of x.
 
@@ -85,9 +91,12 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     U(t + xi_n) = P_j G^i V with P_j = U(step)^j, G = U(step)^m and
     V = U(t - K step).  So the sum is sum_j P_j Y_j P_j^H with
     Y_j = sum_i w_(i m + j) G^i V rho V^H G^-i: two d x d exponentials and
-    O(m) products.  When sigma = 0 it is the plain conjugation
-    U(t) rho U(t)^H.  The result is exactly Hermitian.  A grid of more than
-    ``_GAUSS_MAX_STEPS`` baby steps raises ValidationError.
+    O(m) products.  The sum over j runs in blocks of j whose temporaries
+    stay within ``_SUM_BLOCK_BYTES``, so beside the (m, d, d) stacks of
+    P_j and Y_j it takes a fixed amount of memory.  When sigma = 0 it is
+    the plain conjugation U(t) rho U(t)^H.  The result is exactly
+    Hermitian.  A grid of more than ``_GAUSS_MAX_STEPS`` baby steps raises
+    ValidationError.
     """
     d = h.shape[0]
     step, spacing, k, m = _gaussian_grid(h, tau_c, t)
@@ -135,5 +144,10 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
             np.matmul(w.T, flat, out=y[first:first + w.shape[1]])
         y /= total
         y = y.view(np.complex128).reshape(m, d, d)
-        out = (powers @ y @ powers.conj().transpose(0, 2, 1)).sum(axis=0)
+        del terms, flat  # only the P_j and Y_j stacks live on into the sum
+        block = max(1, _SUM_BLOCK_BYTES // (3 * 16 * d * d))
+        for first in range(0, m, block):
+            p = powers[first:first + block]
+            part = (p @ y[first:first + block] @ p.conj().transpose(0, 2, 1)).sum(axis=0)
+            out = part if first == 0 else out + part
     return 0.5 * (out + out.conj().T)

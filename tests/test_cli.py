@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -8,9 +9,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frqme import PulseSpec, single_qubit_scenario
-from frqme.cli import _FLOAT_CELL, _write_csv, default_config, main
+from frqme import PulseSpec, Tolerances, compare_to_prediction, single_qubit_scenario
+from frqme.cli import (
+    _FLOAT_CELL,
+    _execute,
+    _merge,
+    _result_document,
+    _validate_config,
+    _write_csv,
+    _write_result,
+    default_config,
+    main,
+)
 
 
 def run_cli(*argv):
@@ -23,6 +36,49 @@ def read_json(path):
 
 def as_complex_matrix(doc):
     return np.array([[complex(cell["re"], cell["im"]) for cell in row] for row in doc])
+
+
+def matrix_json(m):
+    return [[{"re": float(z.real), "im": float(z.imag)} for z in row]
+            for row in np.asarray(m, dtype=np.complex128)]
+
+
+def indented_dumps_bytes(document):
+    """Reference result.json: the plain nested-dict document through json.dumps."""
+    plain = dict(document, matrices={key: matrix_json(m)
+                                     for key, m in document["matrices"].items()})
+    return (json.dumps(plain, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def reference_result_bytes(overrides):
+    """The bytes ``frqme run`` should write for a config, built by the library."""
+    config = _validate_config(_merge(default_config(), copy.deepcopy(overrides)))
+    tol = Tolerances(**config["tolerances"])
+    result = _execute(config, tol)
+    report = compare_to_prediction(result.final_numeric, result.born, tol,
+                                   config["compare_tol"])
+    return indented_dumps_bytes(_result_document(config, result, report))
+
+
+def lattice_custom_config(dim, seed):
+    """A custom config whose drive has four degenerate levels with unit gaps.
+
+    At tau_c = 1 and t_max = 40 every cross-group coherence decays by
+    e^-40, so the verdict passes.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.linalg.qr(g)[0]
+    levels = np.repeat(np.arange(4.0) - 1.5, dim // 4)
+    h = (u * levels) @ u.conj().T
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    return {
+        "scenario": "custom",
+        "tau_c": 1.0,
+        "custom": {"hamiltonian": matrix_json(0.5 * (h + h.conj().T)),
+                   "rho0": matrix_json(np.outer(v, v.conj())), "t_max": 40.0},
+    }
 
 
 def csv_writer_bytes(header, rows):
@@ -160,6 +216,60 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", "--out", str(out), "--set", "tolerances.trace=0") == 2
         assert not (out / "result.json").exists()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, -2.5e-17, 1e16, 1.0 / 3.0,
+               math.nan, math.inf, -math.inf]
+FLOAT_PARTS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def complex_matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS),
+                          min_size=rows * cols, max_size=rows * cols))
+    return np.array([complex(re, im) for re, im in parts]).reshape(rows, cols)
+
+
+class TestResultWriter:
+    @pytest.mark.parametrize("overrides", [
+        {"scenario": "single_qubit"},
+        {"scenario": "two_qubit"},
+        lattice_custom_config(16, seed=3),
+    ], ids=["single_qubit", "two_qubit", "custom_d16"])
+    def test_bytes_match_indented_dumps(self, tmp_path, overrides):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+        assert (out / "result.json").read_bytes() == reference_result_bytes(overrides)
+
+    @settings(deadline=None, max_examples=80)
+    @given(first=complex_matrices(), second=complex_matrices())
+    def test_edge_floats_match_indented_dumps(self, tmp_path_factory, first, second):
+        # NaN and Infinity come out as json spells them; one array under two
+        # keys is written twice
+        document = {
+            "version": "0", "scenario": "custom", "convergence_time": None,
+            "matrices": {"asymptotic": second, "born_post_state": second,
+                         "final": first, "initial": -first},
+        }
+        path = tmp_path_factory.mktemp("writer") / "result.json"
+        _write_result(path, document)
+        assert path.read_bytes() == indented_dumps_bytes(document)
+
+    def test_d64_run_matches_indented_dumps_and_repeats(self, tmp_path):
+        # two samples, and t_max = 40 keeps the Gaussian average at m = 19
+        # baby steps, so the five 64 x 64 matrices dominate the output
+        overrides = dict(lattice_custom_config(64, seed=5), grid_points=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
+        first, second = tmp_path / "a", tmp_path / "b"
+        for out in (first, second):
+            assert run_cli("run", "--config", str(config), "--out", str(out)) == 0
+        written = (first / "result.json").read_bytes()
+        assert written == (second / "result.json").read_bytes()
+        assert written == reference_result_bytes(overrides)
 
 
 class TestEndpointLimits:
@@ -310,6 +420,23 @@ class TestConfigErrors:
                        "rho0": [[1.0, 0.0], [0.0, 0.0]], "t_max": 1.0},
         }), encoding="utf-8")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("cell", [
+        {"re": True}, {"re": "0.5"}, {"im": False}, {"im": "0.5"},
+        {"re": None}, {"re": [0.5]},
+    ], ids=["re_bool", "re_string", "im_bool", "im_string", "re_null", "re_list"])
+    def test_custom_rejects_non_number_part(self, tmp_path, capsys, cell):
+        # a part of an {"re", "im"} entry obeys the bare-cell rule
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "custom": {"hamiltonian": [[cell, 0.0], [0.0, 1.0]],
+                       "rho0": [[1.0, 0.0], [0.0, 0.0]], "t_max": 1.0},
+        }), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+        assert f"custom.hamiltonian entry {cell!r} is not numeric" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
     def test_custom_non_hermitian_drive_is_numerical_failure(self, tmp_path):
         config = tmp_path / "config.json"
