@@ -116,11 +116,19 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _to_float(value, name: str) -> float:
+    """A JSON number as a float; an integer past the float range is a UsageError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{name} is an integer too large for a float") from None
+
+
 def _require_number(value, name: str) -> float:
     """A present, non-bool, finite JSON number as a float, or UsageError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    value = _to_float(value, name)
     if not math.isfinite(value):
         raise UsageError(f"{name} must be finite, got {value!r}")
     return value
@@ -203,7 +211,7 @@ def _parse_complex_matrix(node, name: str) -> np.ndarray:
         # a non-bool JSON number; a non-finite one fails validation later
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"{name} entry {cell!r} is not numeric")
-        return float(value)
+        return _to_float(value, f"{name} entry")
 
     rows = []
     for row in node:
@@ -353,6 +361,8 @@ def _write_csv(path: Path, header, cell_formats, rows) -> None:
 
 
 def cmd_run(config: dict) -> int:
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     tol = Tolerances(**config["tolerances"])
     try:
         result = _execute(config, tol)
@@ -361,8 +371,6 @@ def cmd_run(config: dict) -> int:
     except ValidationError as exc:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     # the series first, so a failed run never leaves a new result.json
     # beside an old series
     _write_csv(
@@ -401,6 +409,8 @@ def cmd_sweep(config: dict) -> int:
         point[parameter] = value
         point_configs.append(_validate_config(point))
 
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     tol = Tolerances(**config["tolerances"])
     rows = []
     for point in point_configs:
@@ -421,8 +431,6 @@ def cmd_sweep(config: dict) -> int:
             float(result.born.probabilities[top_group]),
         ])
 
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "sweep.csv",
         ("parameter", "value", "omega1_tau_c_kappa", "trace_distance_to_born",
@@ -509,6 +517,14 @@ def main(argv=None) -> int:
         print(f"numerical validation failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a path that cannot be made or written (the output directory, an
+        # artifact) is the user's to fix; an I/O failure that names no path
+        # (a full disk mid-write) propagates, the old artifacts intact
+        if exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

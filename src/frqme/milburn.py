@@ -7,10 +7,11 @@ Gaussian-distributed times:
     exp(t L) rho = E_xi[U(t + xi) rho U(t + xi)^H],  xi ~ N(0, 2 tau_c t),
 
 with U(s) = exp(-i H s).  ``gaussian_average`` evaluates it by a trapezoid
-rule with two d x d exponentials and O(sqrt(nodes)) d x d products, where
-the d^2 x d^2 Liouville exponential (``liouville.propagate``, the oracle)
-costs O(d^6).  It gives every scenario's numeric endpoint and never
-diagonalises the drive.
+rule, summed by baby and giant steps and folded by Horner: two d x d
+exponentials, O(sqrt(nodes)) d x d products and one stack of
+O(sqrt(nodes)) d x d matrices, where the d^2 x d^2 Liouville exponential
+(``liouville.propagate``, the oracle) costs O(d^6).  It gives every
+scenario's numeric endpoint and never diagonalises the drive.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _span_bound(h: np.ndarray) -> float:
 
 
 # The most baby steps m the Gaussian average takes: d^2 at the target scale
-# d = 64, where its (m, d, d) stacks stay within the d^2 x d^2 generator.
+# d = 64, where its (m, d, d) stack stays within the d^2 x d^2 generator.
 _GAUSS_MAX_STEPS = 64 ** 2
 
 
@@ -66,12 +67,6 @@ def _gaussian_grid(h: np.ndarray, tau_c: float, t: float):
     return (spacing * sigma if k else 0.0), spacing, k, math.isqrt(2 * k) + 1
 
 
-# The byte budget of the three (block, d, d) complex temporaries of each
-# block of sum_j P_j Y_j P_j^H; a grid whose m baby steps fit in one block
-# is summed in one piece.
-_SUM_BLOCK_BYTES = 16 * 2 ** 20
-
-
 def _unitarize(x: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step towards the unitary polar factor of x.
 
@@ -88,15 +83,15 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     The trapezoid rule of ``_gaussian_grid`` over xi_n = (n - K) step,
     n < N = 2K + 1, with weights exp(-xi^2 / 2 sigma^2) normalised to sum
     to 1, is summed by baby and giant steps: writing n = i m + j,
-    U(t + xi_n) = P_j G^i V with P_j = U(step)^j, G = U(step)^m and
-    V = U(t - K step).  So the sum is sum_j P_j Y_j P_j^H with
-    Y_j = sum_i w_(i m + j) G^i V rho V^H G^-i: two d x d exponentials and
-    O(m) products.  The sum over j runs in blocks of j whose temporaries
-    stay within ``_SUM_BLOCK_BYTES``, so beside the (m, d, d) stacks of
-    P_j and Y_j it takes a fixed amount of memory.  When sigma = 0 it is
-    the plain conjugation U(t) rho U(t)^H.  The result is exactly
-    Hermitian.  A grid of more than ``_GAUSS_MAX_STEPS`` baby steps raises
-    ValidationError.
+    U(t + xi_n) = u^j G^i V with u = U(step), G = u^m and V = U(t - K step).
+    So the sum is sum_j u^j Y_j u^-j with Y_j = sum_i w_(i m + j) T_i and
+    T_i = G^i V rho V^H G^-i, folded by Horner as out <- Y_j + u out u^H
+    for j = m - 1 down to 0: two d x d exponentials and O(m) products.
+    The (m, d, d) stack of T_i is its one array that grows with m; the
+    Y_j are formed and folded at most d^2 at a time.  When sigma = 0 the
+    rule has one node and this is the plain conjugation U(t) rho U(t)^H.
+    The result is exactly Hermitian.  A grid of more than
+    ``_GAUSS_MAX_STEPS`` baby steps raises ValidationError.
     """
     d = h.shape[0]
     step, spacing, k, m = _gaussian_grid(h, tau_c, t)
@@ -105,7 +100,7 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
                               f"its limit _GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}")
     # the average is blind to a shift of h by a multiple of the identity
     h0 = h - (np.trace(h).real / d) * np.eye(d)
-    # Roundoff leaves V (from its squarings) and G (from m products) off
+    # Roundoff leaves V (from its squarings) and G (from its products) off
     # unitary by about eps times their phase or product count, and the m
     # conjugations by G carry that norm error into the populations, which
     # the average never dephases (left in, it reaches 1e-10 at d = 64).
@@ -116,38 +111,25 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         offset = -1j * (t - k * step) * h0  # expm refuses a non-finite one
     v = _unitarize(_unitarize(_kernels.expm(offset)))
-    out = v @ rho @ v.conj().T
-    if k:
-        u = _kernels.expm(-1j * step * h0)
-        powers = np.empty((m, d, d), dtype=np.complex128)
-        powers[0] = np.eye(d)
-        for j in range(1, m):
-            powers[j] = powers[j - 1] @ u
-        giant = _unitarize(powers[-1] @ u)
-        terms = np.empty_like(powers)
-        terms[0] = out
-        for i in range(1, m):
-            terms[i] = giant @ terms[i - 1] @ giant.conj().T
-        # Y = W^T T for the m x m weights W[i, j] = w_(i m + j), formed d^2
-        # baby-step columns at a time: a block holds half as many floats as
-        # the terms stack, so no m^2 array (98 MB at d = 2, m = 3500) exists
-        # while m > d^2, and each block of Y is one matrix product, on T's
-        # real view.
-        flat = terms.view(np.float64).reshape(m, -1)
-        y = np.empty_like(flat)
-        row_offsets = np.arange(m)[:, None] * m - k
-        total = 0.0
-        for first in range(0, m, d * d):
-            n = row_offsets + np.arange(first, min(first + d * d, m))  # node - K
-            w = np.where(n <= k, np.exp(-0.5 * (n * spacing) ** 2), 0.0)
-            total += w.sum()
-            np.matmul(w.T, flat, out=y[first:first + w.shape[1]])
-        y /= total
-        y = y.view(np.complex128).reshape(m, d, d)
-        del terms, flat  # only the P_j and Y_j stacks live on into the sum
-        block = max(1, _SUM_BLOCK_BYTES // (3 * 16 * d * d))
-        for first in range(0, m, block):
-            p = powers[first:first + block]
-            part = (p @ y[first:first + block] @ p.conj().transpose(0, 2, 1)).sum(axis=0)
-            out = part if first == 0 else out + part
+    u = _kernels.expm(-1j * step * h0)
+    giant = _unitarize(np.linalg.matrix_power(u, m))
+    terms = np.empty((m, d, d), dtype=np.complex128)
+    terms[0] = v @ rho @ v.conj().T
+    for i in range(1, m):
+        terms[i] = giant @ terms[i - 1] @ giant.conj().T
+    # Y = W^T T for the m x m weights W[i, j] = w_(i m + j), formed d^2
+    # baby-step columns at a time, the last first: each block of Y is one
+    # matrix product on T's real view, folded in at once, and no m^2 array
+    # (98 MB at d = 2, m = 3500) exists while m > d^2.
+    flat = terms.view(np.float64).reshape(m, -1)
+    row_offsets = np.arange(m)[:, None] * m - k
+    out = np.zeros((d, d), dtype=np.complex128)
+    total = 0.0
+    for first in reversed(range(0, m, d * d)):
+        n = row_offsets + np.arange(first, min(first + d * d, m))  # node - K
+        w = np.where(n <= k, np.exp(-0.5 * (n * spacing) ** 2), 0.0)
+        total += w.sum()
+        for y in (w.T @ flat).view(np.complex128).reshape(-1, d, d)[::-1]:
+            out = y + u @ out @ u.conj().T
+    out /= total
     return 0.5 * (out + out.conj().T)

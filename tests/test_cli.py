@@ -366,6 +366,36 @@ class TestAtomicArtifacts:
         assert list(out.iterdir()) == []
 
 
+class TestOutputPathErrors:
+    COMMANDS = {
+        "run": (("run",), "result.json"),
+        "sweep": (("sweep", "--set", "sweep.parameter=kappa", "--set", "sweep.values=[5]"),
+                  "sweep.csv"),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", ["out_is_a_file", "out_below_a_file"])
+    def test_unusable_output_directory_is_a_usage_error(self, tmp_path, capsys, command, case):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep", encoding="utf-8")
+        out = blocker if case == "out_is_a_file" else blocker / "out"
+        argv, _ = self.COMMANDS[command]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text(encoding="utf-8") == "keep"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_artifact_is_a_usage_error(self, tmp_path, capsys, command):
+        # a directory where the artifact goes cannot be replaced by a file
+        argv, artifact = self.COMMANDS[command]
+        (tmp_path / artifact / "inner").mkdir(parents=True)
+        assert run_cli(*argv, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and artifact in err
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("assignment", [
         "kappa=-3", "omega1=0", "omega1=-1", "tau_c=-1",
@@ -377,6 +407,27 @@ class TestConfigErrors:
     def test_rejected_value(self, tmp_path, assignment):
         out = tmp_path / "out"
         assert run_cli("run", "--out", str(out), "--set", assignment) == 1
+        assert not (out / "result.json").exists()
+
+    def test_integer_past_the_float_range(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", "kappa=1" + "0" * 400) == 1
+        assert "error: kappa is an integer too large for a float" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("cell", [10 ** 400, {"re": 0.0, "im": -10 ** 400}],
+                             ids=["bare", "im_part"])
+    def test_custom_matrix_integer_past_the_float_range(self, tmp_path, capsys, cell):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "custom": {"hamiltonian": [[1.0, 0.0], [0.0, -1.0]],
+                       "rho0": [[1.0, cell], [0.0, 0.0]], "t_max": 1.0},
+        }), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "error: custom.rho0 entry is an integer too large for a float" in err
         assert not (out / "result.json").exists()
 
     def test_unknown_scenario(self, tmp_path):

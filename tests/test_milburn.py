@@ -79,6 +79,19 @@ class TestGaussianAverage:
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
         assert np.abs(out - expected).max() <= 1e-12
 
+    def test_grid_of_several_weight_blocks_matches_closed_form(self):
+        # m = 41 baby steps at d = 3 fold in five blocks of d^2 = 9 weight
+        # columns; the 0.002 gap keeps a coherence of 0.18 undecayed, so a
+        # block folded out of order or left out moves the endpoint
+        rng = np.random.default_rng(3)
+        h, rho = drive_with_levels(rng, [0.0, 0.002, 1.0]), random_density(rng, 3)
+        tau_c = 0.5 * 500.0 ** 2
+        assert _gaussian_grid(h, tau_c, 1.0)[3] == 41
+        out = gaussian_average(h, tau_c, rho, 1.0)
+        expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
+        assert np.abs(expected - np.diag(np.diag(expected))).max() > 0.1
+        assert np.abs(out - expected).max() <= 1e-12
+
     @pytest.mark.parametrize("tau_c, t", [(0.0, 3.7), (1.5, 0.0), (0.0, 0.0)])
     def test_zero_width_is_plain_conjugation(self, tau_c, t):
         rng = np.random.default_rng(4)
