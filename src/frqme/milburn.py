@@ -44,8 +44,12 @@ def _span_bound(h: np.ndarray) -> float:
 
 
 # The most baby steps m the Gaussian average takes: d^2 at the target scale
-# d = 64, where its (m, d, d) stack stays within the d^2 x d^2 generator.
+# d = 64, where its (m, d, d) stack stays within the d^2 x d^2 generator.  Its
+# largest phase budget eps * span * t: past it the two Newton-Schulz steps on
+# V let the trace of random tau_c = 0 endpoints drift past 1e-10 (the
+# packaged pulses reach 2.2e-3 at kappa = 1e13).
 _GAUSS_MAX_STEPS = 64 ** 2
+_GAUSS_MAX_PHASE = 2.5e-3
 
 
 def _gaussian_grid(h: np.ndarray, tau_c: float, t: float):
@@ -90,8 +94,8 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     The (m, d, d) stack of T_i is its one array that grows with m; the
     Y_j are formed and folded at most d^2 at a time.  When sigma = 0 the
     rule has one node and this is the plain conjugation U(t) rho U(t)^H.
-    The result is exactly Hermitian.  A grid of more than
-    ``_GAUSS_MAX_STEPS`` baby steps raises ValidationError.
+    The result is exactly Hermitian.  More than ``_GAUSS_MAX_STEPS`` baby
+    steps, or eps * span * t past ``_GAUSS_MAX_PHASE``, raise ValidationError.
     """
     d = h.shape[0]
     step, spacing, k, m = _gaussian_grid(h, tau_c, t)
@@ -110,7 +114,12 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     # The phase error that remains cancels as the coherences decay.
     with np.errstate(over="ignore", invalid="ignore"):
         offset = -1j * (t - k * step) * h0  # expm refuses a non-finite one
-    v = _unitarize(_unitarize(_kernels.expm(offset)))
+    v = _kernels.expm(offset)  # first, so its own errors name an overflowing offset
+    if (phase := np.finfo(np.float64).eps * _span_bound(h) * t) > _GAUSS_MAX_PHASE:
+        raise ValidationError(f"the phase budget eps * span * t = {phase:.3g} is past its limit"
+                              f" _GAUSS_MAX_PHASE = {_GAUSS_MAX_PHASE}; lower kappa, or"
+                              " custom.t_max or the span of custom.hamiltonian")
+    v = _unitarize(_unitarize(v))
     u = _kernels.expm(-1j * step * h0)
     giant = _unitarize(np.linalg.matrix_power(u, m))
     terms = np.empty((m, d, d), dtype=np.complex128)

@@ -5,9 +5,9 @@ a_ij = <v_i| rho |v_j>:
 
     a_ij(t) = a_ij(0) * exp(-i (l_i - l_j) t) * exp(-tau_c (l_i - l_j)^2 t)
 
-Coefficients inside a degenerate group are untouched; every cross-group
-coefficient decays, so the long-time state is the sum of projections onto
-the degenerate subspaces.
+Coefficients inside a degenerate group keep their values (to an ulp, as
+products of per-level phases); every cross-group coefficient decays, so the
+long-time state is the sum of projections onto the degenerate subspaces.
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ class TestResultWriter:
 
 
 class TestEndpointLimits:
-    @pytest.mark.parametrize("kappa", ["1e6", "1e8"])
+    @pytest.mark.parametrize("kappa", ["1e6", "1e8", "1e10", "1e12", "1e13"])
     @pytest.mark.parametrize("scenario", ["single_qubit", "two_qubit"])
     def test_long_pulse_passes(self, tmp_path, scenario, kappa):
         # far past the decay horizon; the endpoint's trace must stay within
@@ -295,6 +295,36 @@ class TestEndpointLimits:
         assert run_cli("run", "--out", str(out), "--set", "kappa=1e20") == 2
         assert "more than its limit _GAUSS_MAX_STEPS = 4096" in capsys.readouterr().err
         assert not (out / "result.json").exists()
+
+    @staticmethod
+    def write_custom(tmp_path, levels, rho0, tau_c, t_max):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "tau_c": tau_c,
+            "custom": {"hamiltonian": np.diag(levels).tolist(), "rho0": rho0, "t_max": t_max},
+        }), encoding="utf-8")
+        return config
+
+    def test_pure_state_series_without_decay_stays_valid(self, tmp_path, capsys):
+        # three levels, tau_c = 0 and span * t = 2.5e8: rounding each phase
+        # (l_i - l_j) t on its own left sample 47 with eigenvalue -1.4e-9
+        config = self.write_custom(tmp_path, [0.0, 1.0, 2.5], [[1 / 3] * 3] * 3, 0.0, 1e8)
+        out = tmp_path / "out"
+        # nothing decays, so the verdict fails, but every sample is a state
+        assert run_cli("run", "--config", str(config), "--out", str(out)) == 3
+        assert "numerical validation failure" not in capsys.readouterr().err
+        assert read_json(out / "result.json")["comparison"]["verdict"] == "fail"
+
+    @pytest.mark.parametrize("t_max", [1e14, 1e16, 1e17, 1e18, 1e20])
+    def test_phase_past_the_limit_is_numerical_failure(self, tmp_path, capsys, t_max):
+        # U(t) keeps no correct digits there; these runs used to fail on a
+        # trace of 0.998, 1.2e20 or 0
+        config = self.write_custom(tmp_path, [0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]], 0.0, t_max)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "eps * span * t" in err
+        assert "past its limit _GAUSS_MAX_PHASE = 0.0025; lower kappa, or custom.t_max" in err
 
     def test_overflowing_custom_run_exits(self, tmp_path):
         # tau_c * t_max overflows the Gaussian width; run in a subprocess

@@ -1,14 +1,46 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frqme import ValidationError, _kernels
+from frqme import (
+    GeneratorSpec,
+    ValidationError,
+    _kernels,
+    build_generator,
+    validate_density_matrix,
+)
+from helpers import random_hermitian, random_pure_density
 
 
 def random_complex(rng, dim, scale=1.0):
     return scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
+def horner_expm(a):
+    """Reference: the same scaling and squaring around a Horner-evaluated
+    Taylor core, 20 d x d products plus one per squaring."""
+    a = np.asarray(a, dtype=np.complex128)
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = 0
+    while norm > _kernels.NORM_CUTOFF:
+        norm *= 0.5
+        squarings += 1
+    b = a * (0.5 ** squarings)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    r = eye.copy()
+    for k in range(_kernels.TAYLOR_TERMS, 0, -1):
+        r = eye + (b @ r) / k
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def unitarity_defect(u):
+    return np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 16, 36])
@@ -100,6 +132,48 @@ def test_expm_doubling_property(seed, dim):
     )
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 8),
+       log_norm=st.floats(-8.0, 3.0), generator=st.booleans())
+@example(seed=1, dim=3, log_norm=-0.3, generator=True)
+@example(seed=2, dim=8, log_norm=0.0, generator=False)
+def test_expm_matches_horner_reference(seed, dim, log_norm, generator):
+    # dissipative inputs, i H - G G^H, or a Liouville generator times t, at
+    # 1-norms from 1e-8 to 1e3; measured worst 2 eps * max(1, norm) over
+    # 3000 draws
+    rng = np.random.default_rng(seed)
+    if generator:
+        spec = GeneratorSpec(drive=random_hermitian(rng, 2 + dim % 2), tau_c=rng.uniform(0.0, 2.0))
+        a = build_generator(spec)
+    else:
+        g = random_complex(rng, dim)
+        a = 1j * random_hermitian(rng, dim) - rng.uniform(0.0, 1.0) * (g @ g.conj().T)
+    norm = 10.0 ** log_norm
+    a *= norm / np.abs(a).sum(axis=0).max()
+    tolerance = 16 * np.finfo(np.float64).eps * max(1.0, norm)
+    assert np.abs(_kernels.expm(a) - horner_expm(a)).max() <= tolerance
+
+
+def test_expm_reaches_every_taylor_term():
+    # exp(c N) for the 21 x 21 shift matrix N holds c^k / k! on its k-th
+    # superdiagonal, so each of the 21 Taylor terms lands in its own entry
+    c = _kernels.NORM_CUTOFF
+    out = _kernels.expm(c * np.eye(21, k=1))
+    expected = [c ** k / math.factorial(k) for k in range(21)]
+    np.testing.assert_allclose(out[0], expected, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9, 16])
+def test_expm_keeps_anti_hermitian_inputs_unitary(dim):
+    # the sizes the self-checks exponentiate, at 1-norms where the Taylor
+    # core alone runs; no worse than the Horner reference on the same draws
+    rng = np.random.default_rng(dim)
+    draws = [1j * random_hermitian(rng, dim) for _ in range(300)]
+    draws = [a * (rng.uniform(0.05, 0.5) / np.abs(a).sum(axis=0).max()) for a in draws]
+    reference = max(unitarity_defect(horner_expm(a)) for a in draws)
+    assert max(unitarity_defect(_kernels.expm(a)) for a in draws) <= reference
+
+
 def test_propagate_grid_matches_matrix_powers():
     rng = np.random.default_rng(11)
     step = random_complex(rng, 4, 0.5)
@@ -147,3 +221,19 @@ def test_evolve_coefficients_diagonal_is_invariant():
     eigenvalues = np.linspace(-2.0, 2.0, 6)
     out = _kernels.evolve_coefficients(a0, eigenvalues, 3.0, 100.0)
     np.testing.assert_allclose(np.diagonal(out), np.diagonal(a0), rtol=0, atol=1e-15)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(3, 8), log_width=st.floats(6.0, 12.0))
+@example(seed=0, dim=3, log_width=8.0)
+def test_evolve_coefficients_keeps_a_pure_state_a_state(seed, dim, log_width):
+    # nothing decays at tau_c = 0, so a pure state must stay a density
+    # matrix however far the phases (l_i - l_j) t wind, up to span * t = 1e12
+    rng = np.random.default_rng(seed)
+    eigenvalues = np.sort(rng.standard_normal(dim))
+    t = 10.0 ** log_width / (eigenvalues[-1] - eigenvalues[0])
+    out = _kernels.evolve_coefficients(random_pure_density(rng, dim), eigenvalues, 0.0, t)
+    validate_density_matrix(out)
+    stack = _kernels.evolve_coefficients(random_pure_density(rng, dim), eigenvalues, 0.0,
+                                         t * np.linspace(0.5, 1.0, 50)[:, None, None])
+    validate_density_matrix(stack)

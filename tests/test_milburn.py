@@ -12,9 +12,16 @@ from frqme import (
     devectorize,
     eigendecompose,
     matrix_exponential,
+    validate_density_matrix,
     vectorize,
 )
-from frqme.milburn import _GAUSS_MAX_STEPS, _gaussian_grid, _span_bound, gaussian_average
+from frqme.milburn import (
+    _GAUSS_MAX_PHASE,
+    _GAUSS_MAX_STEPS,
+    _gaussian_grid,
+    _span_bound,
+    gaussian_average,
+)
 from helpers import random_density, random_hermitian
 
 
@@ -149,3 +156,13 @@ class TestGaussianAverage:
             gaussian_average(h, tau_c, rho, 1.0)
         with pytest.raises(ValidationError, match="needs inf baby steps"):
             gaussian_average(h, 1e308, rho, 1e308)
+
+    def test_phase_past_the_limit_is_refused(self):
+        # span bound 1, so eps * span * t reaches the limit at t = limit / eps
+        h, rho = np.diag([0.0, 1.0]).astype(np.complex128), np.full((2, 2), 0.5)
+        t = _GAUSS_MAX_PHASE / np.finfo(np.float64).eps
+        validate_density_matrix(gaussian_average(h, 0.0, rho, t))
+        with pytest.raises(ValidationError, match=(
+                r"phase budget eps \* span \* t = 0.0025 is past its limit "
+                f"_GAUSS_MAX_PHASE = {_GAUSS_MAX_PHASE}")):
+            gaussian_average(h, 0.0, rho, 1.001 * t)
