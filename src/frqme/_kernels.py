@@ -1,7 +1,8 @@
 """Hot numeric kernels, each one plain numpy function.
 
-* ``expm``                -- Paterson-Stockmeyer Taylor exponential, for the
-  d x d unitaries of the Gaussian average and for the Liouville propagator
+* ``expm``                -- Paterson-Stockmeyer Taylor exponential of one
+  matrix or an (n, d, d) stack, for the d x d unitaries of the Gaussian
+  average and for the Liouville propagators, a batch at a time
 * ``propagate_grid``      -- repeated application of one step propagator
 * ``evolve_coefficients`` -- the entrywise eigenbasis solution
   ``a_ij(0) exp((-i D_ij - tau_c D_ij^2) t)`` with ``D_ij = l_i - l_j``
@@ -13,7 +14,7 @@ Liouville dimension d^2 only where the Liouville exponential still runs
 
 import numpy as np
 
-from .operators import ValidationError
+from .operators import ValidationError, _first_failure, _sample
 
 # Taylor truncation order for the exponential core.  After the argument is
 # scaled to 1-norm <= 0.5 the remainder past 20 terms is below 1e-25, far
@@ -29,21 +30,25 @@ _CHUNKS = np.array([[1.0 / np.prod(np.arange(1.0, k + 1)) if 0 < k <= TAYLOR_TER
 def expm(a):
     """exp(a) by scaling-and-squaring with a Paterson-Stockmeyer Taylor core.
 
-    8 d x d products plus one per squaring, computed and returned as
-    complex128.  No squaring count scales a non-finite 1-norm down, so it
-    raises ValidationError, as it does when the squarings overflow.
+    ``a`` is one d x d matrix or an (n, d, d) stack, computed and returned as
+    complex128.  Each sample is halved ``s`` times, the least count that
+    brings its 1-norm to NORM_CUTOFF or under, read in closed form from the
+    norm's binary exponent; one core (8 batched products) runs on the whole
+    stack, and each sample is then squared its own ``s`` times, so it comes
+    out bit for bit as a call on that sample alone would return it.  No
+    count scales a non-finite 1-norm down, so it raises ValidationError, as
+    it does when the squarings overflow; on a stack the message names the
+    first failing sample.
     """
     a = np.asarray(a, dtype=np.complex128)
-    norm = np.abs(a).sum(axis=0).max() if a.size else 0.0
-    if not np.isfinite(norm):
-        raise ValidationError(f"cannot exponentiate a matrix with 1-norm {norm}")
-    squarings = 0
-    while norm > NORM_CUTOFF:
-        norm *= 0.5
-        squarings += 1
-    b = a * (0.5 ** squarings)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)  # one per sample
+    if not np.isfinite(norms).all():
+        i = _first_failure(np.isfinite(norms))
+        raise ValidationError(f"cannot exponentiate a matrix with 1-norm {norms[i]}{_sample(i)}")
+    squarings = _squarings(norms)
+    b = a * np.ldexp(1.0, -squarings)[..., None, None]  # exact powers of two
     powers = np.empty((6, *a.shape), dtype=np.complex128)  # B^5, B^4, ..., B, I
-    powers[5], powers[4] = np.eye(len(a)), b
+    powers[5], powers[4] = np.eye(a.shape[-1]), b
     for p in (3, 2, 1, 0):
         powers[p] = powers[p + 1] @ b
     chunks = (_CHUNKS @ powers[1:].view(np.float64).reshape(5, -1)).view(np.complex128)
@@ -52,11 +57,27 @@ def expm(a):
         r = chunk.reshape(a.shape) + powers[0] @ r
     r += powers[5]  # the constant term I, the largest, added last
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            r = r @ r
+        for s in range(int(squarings.max(initial=0))):
+            if a.ndim == 2:
+                r = r @ r
+            else:  # each sample stops at its own count
+                live = squarings > s
+                r[live] = r[live] @ r[live]
     if not np.isfinite(r).all():
-        raise ValidationError(f"the exponential overflowed in {squarings} squarings")
+        i = _first_failure(np.isfinite(r).all(axis=(-2, -1)))
+        raise ValidationError(f"the exponential overflowed in {squarings[i]} squarings{_sample(i)}")
     return r
+
+
+def _squarings(norms):
+    """The least s >= 0 with norm * 2^-s <= NORM_CUTOFF = 1/2, per 1-norm.
+
+    The count of the loop ``while norm > 0.5: norm *= 0.5``, in closed form:
+    norm = f * 2^e with 1/2 <= f < 1 (f = e = 0 for a zero norm), so the
+    bound first holds at s = e, or at s = e + 1 when f > 1/2.
+    """
+    fraction, exponent = np.frexp(norms)
+    return np.maximum(exponent + (fraction > 0.5), 0)
 
 
 def propagate_grid(step, v0, count):

@@ -12,7 +12,11 @@ fields with their own strengths.
 
 This module is the oracle: ``propagate`` applies the complex d^2 x d^2
 exponential of the generator, at cost O(d^6), and serves the self-checks
-and drives with extra channels.  The scenario endpoints come from the
+and drives with extra channels.  It takes one state or an (n, d, d) stack
+with one spec and time or n of each, and exponentiates the scaled
+generators a batch at a time within a fixed byte budget, so one call
+covers a whole loop of instances.  It refuses a generator past
+``_MAX_GENERATOR_BYTES`` (d > 38).  The scenario endpoints come from the
 Milburn form instead (``milburn.gaussian_average``).
 """
 
@@ -26,28 +30,44 @@ import numpy as np
 from . import _kernels
 from .operators import (
     DEFAULT_TOLS,
+    DimensionMismatchError,
     Tolerances,
     ValidationError,
+    _as_square_stack,
+    _first_failure,
+    _sample,
     as_square_matrix,
     project_to_physical,
     require_hermitian,
     validate_density_matrix,
 )
 
+# A batch's stack of scaled generators stays within this many bytes (3
+# samples at d = 6), so the stacked exponential's working set stays small.
+_BATCH_BYTES = 64 * 1024
+# The largest generator propagate builds: d = 32 takes 16 MiB (and its
+# exponential about 14 times that); d = 64 would take 268 MB.
+_MAX_GENERATOR_BYTES = 32 * 1024 * 1024
+
 
 def vectorize(rho) -> np.ndarray:
-    """Column-stack a d x d matrix into a length d^2 vector."""
-    a = as_square_matrix(rho)
-    return a.T.reshape(-1).copy()
+    """Column-stack a d x d matrix into a length d^2 vector.
+
+    An (n, d, d) stack gives an (n, d^2) array, one vector per sample.
+    """
+    a = _as_square_stack(rho)
+    return a.swapaxes(-1, -2).copy().reshape(a.shape[:-2] + (-1,))
 
 
 def devectorize(vec) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValidationError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(d, d).T.copy()
+    """Inverse of :func:`vectorize`: a length d^2 vector, or an (n, d^2) stack."""
+    v = np.asarray(vec, dtype=np.complex128)
+    if v.ndim not in (1, 2):
+        raise ValidationError(f"expected a vector or a stack of them, got shape {v.shape}")
+    d = math.isqrt(v.shape[-1])
+    if d * d != v.shape[-1]:
+        raise ValidationError(f"vector length {v.shape[-1]} is not a perfect square")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2).copy()
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,13 +148,63 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     return _kernels.expm(a)
 
 
-def propagate(spec: GeneratorSpec, rho0, t: float, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Evolve rho0 for time t under the generator and return a tidied state."""
+def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Evolve states under the generator and return them tidied.
+
+    ``rho0`` is one state or an (n, d, d) stack, ``spec`` one GeneratorSpec
+    or a sequence of n specs of one dimension, and ``t`` one time or n
+    times; a single one is shared by all n samples, and the result is one
+    state only when all three are single.  One spec at one time takes one
+    exponential, applied to every state.  Otherwise the scaled generators
+    are exponentiated a batch at a time, each batch's stack within
+    ``_BATCH_BYTES``.  Either way each sample comes out as a call on it
+    alone would return it.  A generator past ``_MAX_GENERATOR_BYTES`` is
+    refused before anything of its size is allocated.
+    """
+    shared = isinstance(spec, GeneratorSpec)
+    specs = (spec,) if shared else tuple(spec)
+    if not specs or len({s.dim for s in specs}) != 1:
+        raise DimensionMismatchError(
+            f"expected specs of one dimension, got {sorted({s.dim for s in specs})}")
+    d = specs[0].dim
+    if (size := 16 * d ** 4) > _MAX_GENERATOR_BYTES:
+        raise ValidationError(
+            f"the Liouville generator of a d = {d} drive takes {size} bytes, past the "
+            f"{_MAX_GENERATOR_BYTES}-byte limit of propagate; custom scenarios use the "
+            "Gaussian average instead")
     rho = validate_density_matrix(rho0, tol)
-    if rho.shape[0] != spec.dim:
-        raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {spec.dim}")
-    out = devectorize(matrix_exponential(build_generator(spec, tol), t) @ vectorize(rho))
-    return project_to_physical(out, tol)
+    if rho.shape[-1] != d:
+        raise ValidationError(f"state dim {rho.shape[-1]} differs from drive dim {d}")
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1:
+        raise DimensionMismatchError(f"expected one time or a vector, got shape {times.shape}")
+    if shared and times.ndim == 0:
+        out = np.matmul(matrix_exponential(build_generator(spec, tol), times),
+                        vectorize(rho)[..., None])[..., 0]
+        return project_to_physical(devectorize(out), tol)
+    counts = {len(a) for a, many in ((specs, not shared), (rho, rho.ndim == 3),
+                                     (times, times.ndim == 1)) if many}
+    if len(counts) != 1:
+        raise DimensionMismatchError(f"specs, states and times give sample counts {sorted(counts)}")
+    n = counts.pop()
+    times = np.broadcast_to(times, (n,))
+    if (i := _first_failure((times >= 0.0) & np.isfinite(times))) is not None:
+        raise ValidationError(f"time must be finite and >= 0, got {times[i]}{_sample(i)}")
+    vecs = np.broadcast_to(vectorize(rho), (n, d * d))
+    gen = build_generator(spec, tol) if shared else None
+    out = np.empty((n, d * d), dtype=np.complex128)
+    step = max(1, _BATCH_BYTES // size)
+    for start in range(0, n, step):
+        batch = slice(start, start + step)
+        gens = gen if shared else np.array([build_generator(s, tol) for s in specs[batch]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = gens * times[batch, None, None]  # the kernel refuses a non-finite product
+        try:
+            props = _kernels.expm(scaled)
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} of the batch that starts at sample {start}") from None
+        out[batch] = np.matmul(props, vecs[batch, :, None])[..., 0]
+    return project_to_physical(devectorize(out), tol)
 
 
 def choi_matrix(superop) -> np.ndarray:

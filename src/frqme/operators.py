@@ -3,7 +3,9 @@
 Conventions used throughout the package: hbar = 1, Hamiltonian entries are
 angular frequencies, multi-qubit basis ordering is big-endian (the first
 qubit is the most significant index).  Storage is dense complex128; the
-target scale is Hilbert dimension <= 64.
+target scale is Hilbert dimension <= 64.  The validation, metric and
+repair functions take one matrix or an (n, d, d) stack of them, check
+every sample and name the first failing one.
 """
 
 from __future__ import annotations
@@ -177,25 +179,27 @@ def validate_density_matrix(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 def project_to_physical(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Validate and tidy a nearly-physical state.
 
-    Roundoff-sized blemishes are repaired: the matrix is symmetrized,
-    eigenvalues in ``[-psd, 0)`` are clamped to zero (logged at debug level)
-    and the trace is renormalized.  Violations beyond the tolerances are
-    hard errors, so genuine bugs are not papered over.  The positivity
-    check reads the one eigendecomposition the repair needs.
+    ``m`` is one matrix or an (n, d, d) stack, each sample repaired on its
+    own and the first failing one reported.  Roundoff-sized blemishes are
+    repaired: the matrix is symmetrized, eigenvalues in ``[-psd, 0)`` are
+    clamped to zero (logged at debug level) and the trace is renormalized.
+    Violations beyond the tolerances are hard errors, so genuine bugs are
+    not papered over.  The positivity check reads the one eigendecomposition
+    the repair needs.
     """
-    a = _require_unit_trace(require_hermitian(as_square_matrix(m), tol), tol)
-    a = 0.5 * (a + a.conj().T)
+    a = _require_unit_trace(require_hermitian(m, tol), tol)
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
     evals, vecs = np.linalg.eigh(a)
-    _require_psd(evals[0], tol)
-    if evals[0] < 0.0:
+    _require_psd(evals[..., 0], tol)
+    if (clamped := evals[..., 0] < 0.0).any():
         log.debug(
             "clamping %d negative eigenvalue(s) >= %.3e to zero",
             int(np.sum(evals < 0.0)),
-            float(evals[0]),
+            float(evals[..., 0].min()),
         )
-        evals = np.clip(evals, 0.0, None)
-        a = (vecs * evals) @ vecs.conj().T
-    return a / np.trace(a).real
+        vecs, evals = vecs[clamped], np.clip(evals[clamped], 0.0, None)
+        a[clamped] = (vecs * evals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return a / np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def purity(rho, tol: Tolerances = DEFAULT_TOLS):

@@ -119,15 +119,12 @@ def _max_entry_error(a, b) -> float:
 
 
 def _check_single_qubit_asymptotic(tol: Tolerances):
-    thetas = np.linspace(0.0, np.pi, 9)
-    phis = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+    angles = [(theta, phi) for theta in np.linspace(0.0, np.pi, 9)
+              for phi in np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)]
     spec = GeneratorSpec(drive=0.5 * SIGMA_Y, tau_c=1.0)
-    worst = 0.0
-    for theta in thetas:
-        for phi in phis:
-            rho0 = pure_density(qubit_state(theta, phi), tol)
-            rho = propagate(spec, rho0, 40.0, tol)
-            worst = max(worst, _max_entry_error(rho, _single_qubit_expected(theta, phi)))
+    rho0 = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi in angles])
+    expected = np.array([_single_qubit_expected(theta, phi) for theta, phi in angles])
+    worst = _max_entry_error(propagate(spec, rho0, 40.0, tol), expected)
     return worst <= 1e-9, f"max entry error {worst:.3e} over 81 Bloch angles (limit 1e-09)"
 
 
@@ -135,17 +132,17 @@ def _check_single_qubit_finite_pulse(tol: Tolerances):
     angles = (0.0, np.pi / 3.0, np.pi / 2.0)
     spec = GeneratorSpec(drive=0.5 * SIGMA_Y, tau_c=1.0)
     spectrum = eigendecompose(spec.drive, tol)
+    pairs = [(theta, phi) for theta in angles for phi in angles]
+    states = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi in pairs])
     worst_numeric = 0.0
     worst_closed_form = 0.0
-    for theta in angles:
-        for phi in angles:
-            rho0 = pure_density(qubit_state(theta, phi), tol)
-            for kappa in angles:
-                oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
-                numeric = propagate(spec, rho0, kappa, tol)
-                closed = _single_qubit_pulse_matrix(theta, phi, kappa, kappa)
-                worst_numeric = max(worst_numeric, _max_entry_error(numeric, oracle))
-                worst_closed_form = max(worst_closed_form, _max_entry_error(closed, oracle))
+    for kappa in angles:
+        numerics = propagate(spec, states, kappa, tol)
+        for (theta, phi), rho0, numeric in zip(pairs, states, numerics):
+            oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
+            closed = _single_qubit_pulse_matrix(theta, phi, kappa, kappa)
+            worst_numeric = max(worst_numeric, _max_entry_error(numeric, oracle))
+            worst_closed_form = max(worst_closed_form, _max_entry_error(closed, oracle))
     passed = worst_numeric <= 1e-9 and worst_closed_form <= 1e-9
     return passed, (
         f"27 pulses: numeric vs eigenbasis {worst_numeric:.3e}, "
@@ -219,6 +216,8 @@ def _random_state(rng, dim: int, mixed: bool) -> np.ndarray:
 def _check_born_equivalence_random(tol: Tolerances):
     rng = np.random.default_rng(RNG_SEED)
     dims = (2, 3, 4, 6)
+    # per dimension: specs, initial states, times, projector sums, predictions
+    batches = {dim: ([], [], [], [], []) for dim in dims}
     worst_limit = 0.0
     worst_finite = 0.0
     for i in range(200):
@@ -236,10 +235,16 @@ def _check_born_equivalence_random(tol: Tolerances):
         predicted = born_predict(spectrum, rho0, tol).post_state
         worst_limit = max(worst_limit, _max_entry_error(limit, predicted))
 
-        t = convergence_time(spectrum, tau_c, 1e-14)
-        rho_t = propagate(GeneratorSpec(drive=h, tau_c=tau_c), rho0, t, tol)
-        worst_finite = max(worst_finite, _max_entry_error(rho_t, limit))
-        worst_finite = max(worst_finite, _max_entry_error(rho_t, predicted))
+        specs, states, times, limits, predictions = batches[dim]
+        specs.append(GeneratorSpec(drive=h, tau_c=tau_c))
+        states.append(rho0)
+        times.append(convergence_time(spectrum, tau_c, 1e-14))
+        limits.append(limit)
+        predictions.append(predicted)
+    for specs, states, times, limits, predictions in batches.values():
+        rho_t = propagate(specs, np.array(states), times, tol)
+        worst_finite = max(worst_finite, _max_entry_error(rho_t, limits),
+                           _max_entry_error(rho_t, predictions))
     passed = worst_limit <= 1e-10 and worst_finite <= 1e-8
     return passed, (
         f"200 instances: projector sum vs prediction {worst_limit:.3e} (limit 1e-10), "

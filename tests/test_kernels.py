@@ -174,6 +174,61 @@ def test_expm_keeps_anti_hermitian_inputs_unitary(dim):
     assert max(unitarity_defect(_kernels.expm(a)) for a in draws) <= reference
 
 
+def halving_count(norm):
+    squarings = 0
+    while norm > _kernels.NORM_CUTOFF:
+        norm *= 0.5
+        squarings += 1
+    return squarings
+
+
+@pytest.mark.parametrize("norm", [
+    0.0, 5e-324, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0, 1.5, np.nextafter(2.0**20, 0.0),
+    2.0**20, np.nextafter(2.0**20, np.inf), 1e300, np.finfo(np.float64).max,
+])
+def test_squaring_count_equals_the_halving_loop(norm):
+    assert _kernels._squarings(np.array([norm]))[0] == halving_count(norm)
+
+
+@settings(deadline=None, max_examples=200)
+@given(norm=st.floats(0.0, np.finfo(np.float64).max) | st.integers(-1074, 1023).map(
+    lambda e: math.ldexp(1.0, e)))
+def test_squaring_count_equals_the_halving_loop_everywhere(norm):
+    assert _kernels._squarings(np.array([norm]))[0] == halving_count(norm)
+
+
+def anti_hermitian_with_norm(rng, dim, norm):
+    a = -1j * random_hermitian(rng, dim)
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("norms", [
+    (3.0, 0.0, 2.0**19 + 1.0, 0.5, 7.0, 1.0),  # 2, 0, 20, 0, 4 and 1 squarings
+    (5.0, 5.0, 5.0),
+])
+@pytest.mark.parametrize("dim", [4, 9, 36])
+def test_expm_stack_equals_per_sample_calls(dim, norms):
+    rng = np.random.default_rng(dim)
+    stack = np.array([anti_hermitian_with_norm(rng, dim, norm) for norm in norms])
+    counts = _kernels._squarings(np.abs(stack).sum(axis=1).max(axis=1))
+    assert len(norms) == 3 or (counts.min() == 0 and counts.max() >= 19)
+    out = _kernels.expm(stack)
+    assert out.shape == stack.shape and out.dtype == np.complex128
+    np.testing.assert_array_equal(out, [_kernels.expm(a) for a in stack])
+
+
+def test_expm_names_the_first_failing_sample():
+    stack = np.zeros((5, 3, 3), dtype=np.complex128)
+    stack[2, 0, 1] = np.nan
+    stack[4, 1, 1] = np.inf
+    with pytest.raises(ValidationError, match="1-norm nan in sample 2$"):
+        _kernels.expm(stack)
+    overflowing = np.zeros((3, 2, 2))
+    overflowing[1] = [[0.0, 1e300], [-1e300, 0.0]]
+    with pytest.raises(ValidationError, match="overflowed in 998 squarings in sample 1$"):
+        _kernels.expm(overflowing)
+
+
 def test_propagate_grid_matches_matrix_powers():
     rng = np.random.default_rng(11)
     step = random_complex(rng, 4, 0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frqme import (
+    DimensionMismatchError,
     GeneratorSpec,
     NonHermitianError,
     SIGMA_Y,
@@ -20,6 +23,7 @@ from frqme import (
     qubit_state,
     vectorize,
 )
+from frqme import liouville
 from helpers import SIGMA_X, maximally_mixed, random_density, random_hermitian
 
 
@@ -37,6 +41,17 @@ class TestVectorization:
     def test_devectorize_rejects_non_square_length(self):
         with pytest.raises(ValidationError):
             devectorize(np.ones(5))
+
+    def test_stack_is_one_vector_per_sample(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        vecs = vectorize(stack)
+        np.testing.assert_array_equal(vecs, [vectorize(m) for m in stack])
+        np.testing.assert_array_equal(devectorize(vecs), stack)
+
+    def test_devectorize_rejects_higher_rank(self):
+        with pytest.raises(ValidationError):
+            devectorize(np.ones((2, 2, 4)))
 
     def test_product_identity(self):
         # vec(A rho B) = (B^T kron A) vec(rho)
@@ -254,6 +269,87 @@ class TestPropagate:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
         assert np.abs(out - out.conj().T).max() <= 1e-10
         assert np.linalg.eigvalsh(out)[0] >= -1e-9
+
+
+class TestPropagateStacks:
+    """Stacked specs, states and times give what per-sample calls give."""
+
+    @staticmethod
+    def instances(seed, dim, n):
+        rng = np.random.default_rng(seed)
+        specs = [GeneratorSpec(
+            drive=random_hermitian(rng, dim), tau_c=float(rng.uniform(0.0, 2.0)),
+            extra_dissipators=((random_hermitian(rng, dim), 0.3),) if i % 2 else (),
+        ) for i in range(n)]
+        states = np.array([random_density(rng, dim) for _ in range(n)])
+        return specs, states, rng.uniform(0.0, 30.0, size=n)
+
+    @pytest.mark.parametrize("dim, n", [(6, 7), (4, 17)])
+    def test_specs_states_and_times_across_batches(self, dim, n):
+        assert liouville._BATCH_BYTES // (16 * dim ** 4) < n  # more than one batch
+        specs, states, times = self.instances(dim, dim, n)
+        times[1] = 0.0
+        out = propagate(specs, states, times)
+        assert out.shape == states.shape
+        np.testing.assert_array_equal(
+            out, [propagate(*args) for args in zip(specs, states, times)])
+
+    def test_one_spec_equals_repeated_single_calls(self):
+        specs, states, times = self.instances(40, 6, 5)
+        spec = specs[1]
+        np.testing.assert_array_equal(
+            propagate(spec, states, 2.5), [propagate(spec, rho, 2.5) for rho in states])
+        np.testing.assert_array_equal(
+            propagate(spec, states, times),
+            [propagate(spec, rho, t) for rho, t in zip(states, times)])
+        np.testing.assert_array_equal(
+            propagate(specs, states[0], 2.5), [propagate(s, states[0], 2.5) for s in specs])
+
+    def test_names_the_first_failing_sample(self):
+        specs, states, times = self.instances(41, 3, 6)
+        times[3] = np.nan
+        times[5] = -1.0
+        with pytest.raises(ValidationError, match="got nan in sample 3$"):
+            propagate(specs, states, times)
+        states[4] = np.eye(3)
+        with pytest.raises(ValidationError, match="in sample 4"):
+            propagate(specs[0], states, 1.0)
+
+    def test_names_an_overflowing_sample_by_its_batch(self):
+        # at d = 6 a batch holds 3 generators: sample 4 is the second of the second
+        spec = GeneratorSpec(drive=np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 100.0]), tau_c=1e200)
+        times = np.array([1.0, 2.0, 3.0, 4.0, 1e200])
+        with pytest.raises(ValidationError,
+                           match="1-norm inf in sample 1 of the batch that starts at sample 3"):
+            propagate(spec, maximally_mixed(6), times)
+
+    def test_rejects_mismatched_counts_and_dimensions(self):
+        specs, states, times = self.instances(42, 2, 4)
+        for args in ((specs, states[:3], 1.0), (specs[0], states, times[:3]),
+                     (specs, states, times[:, None]),
+                     (specs + [GeneratorSpec(drive=np.eye(3))], states[0], 1.0), ([], states, 1.0)):
+            with pytest.raises(DimensionMismatchError):
+                propagate(*args)
+
+    def test_refuses_an_oversized_generator_before_allocating(self):
+        # a d = 128 generator would take 4.3 GB
+        spec = GeneratorSpec(drive=np.diag(np.arange(128.0)), tau_c=1.0)
+        rho = maximally_mixed(128)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="4294967296 bytes.*Gaussian average"):
+                propagate(spec, rho, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_admits_a_d_32_generator(self):
+        # d = 32 is under the limit (the call is refused later, for its state)
+        spec = GeneratorSpec(drive=np.diag(np.arange(32.0)))
+        with pytest.raises(ValidationError, match="state dim 2"):
+            propagate(spec, maximally_mixed(2), 1.0)
+        assert 16 * 32 ** 4 <= liouville._MAX_GENERATOR_BYTES < 16 * 64 ** 4
 
 
 class TestChoiMatrix:

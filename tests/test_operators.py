@@ -127,7 +127,7 @@ class TestStacks:
             validate_density_matrix(bad)
         stack = np.array([maximally_mixed(2)] * 5)
         stack[3] = bad
-        for check in (validate_density_matrix, purity):
+        for check in (validate_density_matrix, purity, project_to_physical):
             with pytest.raises(error, match="in sample 3"):
                 check(stack)
 
@@ -138,7 +138,6 @@ class TestStacks:
             lambda: eigendecompose(stack),
             lambda: GeneratorSpec(drive=stack),
             lambda: born_predict(spectrum, stack),
-            lambda: project_to_physical(stack),
         ):
             with pytest.raises(DimensionMismatchError):
                 call()
@@ -241,6 +240,14 @@ class TestProjectToPhysical:
         rho[0, 0] = bad
         with pytest.raises(NonHermitianError):
             project_to_physical(rho)
+
+    def test_stack_equals_per_sample_calls(self):
+        rng = np.random.default_rng(24)
+        stack = np.array([random_density(rng, 2) for _ in range(5)])
+        stack[2] = np.diag([1.0 + 2e-10, -2e-10])  # the one sample that is clamped
+        out = project_to_physical(stack)
+        np.testing.assert_array_equal(out, [project_to_physical(m) for m in stack])
+        assert np.linalg.eigvalsh(out[2])[0] >= 0.0
 
     def test_one_eigendecomposition(self, monkeypatch):
         # the positivity check reads the eigh that the repair needs
