@@ -10,7 +10,6 @@ long-time state comes to that prediction.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .operators import (
     Tolerances,
     TraceDeviationError,
     ValidationError,
+    _require_nonnegative,
     trace_distance,
     validate_density_matrix,
 )
@@ -93,9 +93,8 @@ def compare_to_prediction(rho_sim, prediction: BornPrediction,
         raise ValidationError(
             f"state shape {rho.shape} differs from prediction {prediction.post_state.shape}"
         )
-    threshold = tol.compare if compare_tol is None else float(compare_tol)
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValidationError(f"comparison tolerance must be finite and >= 0, got {threshold}")
+    threshold = _require_nonnegative(tol.compare if compare_tol is None else compare_tol,
+                                     "comparison tolerance")
     td = trace_distance(rho, prediction.post_state, tol)
     entry = float(np.abs(rho - prediction.post_state).max())
     weights = _weights(prediction.projectors, rho)

@@ -35,6 +35,7 @@ from .operators import (
     ValidationError,
     _as_square_stack,
     _first_failure,
+    _require_nonnegative,
     _sample,
     as_square_matrix,
     project_to_physical,
@@ -105,9 +106,7 @@ class GeneratorSpec:
     def __post_init__(self):
         drive = require_hermitian(as_square_matrix(self.drive))
         object.__setattr__(self, "drive", drive)
-        if not (0.0 <= float(self.tau_c) < math.inf):
-            raise ValidationError(f"tau_c must be finite and >= 0, got {self.tau_c}")
-        object.__setattr__(self, "tau_c", float(self.tau_c))
+        object.__setattr__(self, "tau_c", _require_nonnegative(self.tau_c, "tau_c"))
         checked = []
         for op, strength in self.extra_dissipators:
             om = require_hermitian(as_square_matrix(op))
@@ -115,9 +114,7 @@ class GeneratorSpec:
                 raise ValidationError(
                     f"dissipator shape {om.shape} differs from drive {drive.shape}"
                 )
-            if not (float(strength) >= 0.0):
-                raise ValidationError(f"dissipator strength must be >= 0, got {strength}")
-            checked.append((om, float(strength)))
+            checked.append((om, _require_nonnegative(strength, "dissipator strength")))
         object.__setattr__(self, "extra_dissipators", tuple(checked))
 
     @property
@@ -140,9 +137,7 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    t = float(t)
-    if not (t >= 0.0) or not np.isfinite(t):
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
+    t = _require_nonnegative(t, "time")
     with np.errstate(over="ignore", invalid="ignore"):
         a = a * t  # the kernel refuses a non-finite product
     return _kernels.expm(a)
@@ -154,12 +149,11 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     ``rho0`` is one state or an (n, d, d) stack, ``spec`` one GeneratorSpec
     or a sequence of n specs of one dimension, and ``t`` one time or n
     times; a single one is shared by all n samples, and the result is one
-    state only when all three are single.  One spec at one time takes one
-    exponential, applied to every state.  Otherwise the scaled generators
-    are exponentiated a batch at a time, each batch's stack within
-    ``_BATCH_BYTES``.  Either way each sample comes out as a call on it
-    alone would return it.  A generator past ``_MAX_GENERATOR_BYTES`` is
-    refused before anything of its size is allocated.
+    state only when all three are single.  The scaled generators are
+    exponentiated a batch at a time, each batch's stack within
+    ``_BATCH_BYTES``, and each sample comes out as a call on it alone would
+    return it.  A generator past ``_MAX_GENERATOR_BYTES`` is refused before
+    anything of its size is allocated.
     """
     shared = isinstance(spec, GeneratorSpec)
     specs = (spec,) if shared else tuple(spec)
@@ -178,18 +172,15 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1:
         raise DimensionMismatchError(f"expected one time or a vector, got shape {times.shape}")
-    if shared and times.ndim == 0:
-        out = np.matmul(matrix_exponential(build_generator(spec, tol), times),
-                        vectorize(rho)[..., None])[..., 0]
-        return project_to_physical(devectorize(out), tol)
-    counts = {len(a) for a, many in ((specs, not shared), (rho, rho.ndim == 3),
-                                     (times, times.ndim == 1)) if many}
-    if len(counts) != 1:
-        raise DimensionMismatchError(f"specs, states and times give sample counts {sorted(counts)}")
-    n = counts.pop()
-    times = np.broadcast_to(times, (n,))
     if (i := _first_failure((times >= 0.0) & np.isfinite(times))) is not None:
         raise ValidationError(f"time must be finite and >= 0, got {times[i]}{_sample(i)}")
+    counts = {len(a) for a, many in ((specs, not shared), (rho, rho.ndim == 3),
+                                     (times, times.ndim == 1)) if many}
+    if len(counts) > 1:
+        raise DimensionMismatchError(f"specs, states and times give sample counts {sorted(counts)}")
+    stacked = bool(counts)
+    n = max(counts, default=1)
+    times = np.broadcast_to(times, (n,))
     vecs = np.broadcast_to(vectorize(rho), (n, d * d))
     gen = build_generator(spec, tol) if shared else None
     out = np.empty((n, d * d), dtype=np.complex128)
@@ -200,11 +191,13 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = gens * times[batch, None, None]  # the kernel refuses a non-finite product
         try:
-            props = _kernels.expm(scaled)
+            props = _kernels.expm(scaled if stacked else scaled[0])
         except ValidationError as exc:
+            if not stacked:
+                raise
             raise ValidationError(f"{exc} of the batch that starts at sample {start}") from None
         out[batch] = np.matmul(props, vecs[batch, :, None])[..., 0]
-    return project_to_physical(devectorize(out), tol)
+    return project_to_physical(devectorize(out if stacked else out[0]), tol)
 
 
 def choi_matrix(superop) -> np.ndarray:

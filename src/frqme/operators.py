@@ -75,6 +75,14 @@ DEFAULT_TOLS = Tolerances()
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 
+def _require_nonnegative(value, name: str) -> float:
+    """``value`` as a float, or ValidationError unless it is finite and >= 0."""
+    value = float(value)
+    if not (0.0 <= value < math.inf):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a complex128 square 2-D array, or raise DimensionMismatchError."""
     a = np.asarray(m, dtype=np.complex128)

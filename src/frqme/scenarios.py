@@ -5,12 +5,13 @@ dimensionless pulse area kappa = omega1 * t, sampling a uniform time grid,
 and packages the numeric endpoint, the closed-form endpoint, the
 infinite-time limit and the measurement prediction for later comparison.
 
-The time series comes from the closed-form eigenbasis solution, evaluated
-on blocks of grid times.  The numeric endpoint, an independent check on it
-that never diagonalises the drive, is the Milburn Gaussian average over
-evolution times (``milburn.gaussian_average``); a Gaussian width past its
-fixed step limit raises ValidationError.  The d^2 x d^2 Liouville
-exponential is not on this path.
+The drive is checked once, by ``eigendecompose`` under the run's
+tolerances.  The time series comes from the closed-form eigenbasis
+solution, evaluated on blocks of grid times.  The numeric endpoint, an
+independent check on it that never diagonalises the drive, is the Milburn
+Gaussian average over evolution times (``milburn.gaussian_average``); a
+Gaussian width past its fixed step limit raises ValidationError.  The
+d^2 x d^2 Liouville exponential is not on this path.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import numpy as np
 
 from . import _kernels
 from .born import BornPrediction, _predict
-from .liouville import GeneratorSpec
 from .milburn import gaussian_average
 from .operators import (
     DEFAULT_TOLS,
     SIGMA_Y,
     Tolerances,
     ValidationError,
+    _require_nonnegative,
+    as_square_matrix,
     bell_amplitudes,
     pure_density,
     purity,
@@ -60,14 +62,11 @@ class PulseSpec:
     tau_c: float = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "omega1", "tau_c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ValidationError(f"kappa must be finite and >= 0, got {self.kappa}")
+        object.__setattr__(self, "kappa", _require_nonnegative(self.kappa, "kappa"))
+        object.__setattr__(self, "omega1", float(self.omega1))
         if not (math.isfinite(self.omega1) and self.omega1 > 0.0):
             raise ValidationError(f"omega1 must be finite and > 0, got {self.omega1}")
-        if not (math.isfinite(self.tau_c) and self.tau_c >= 0.0):
-            raise ValidationError(f"tau_c must be finite and >= 0, got {self.tau_c}")
+        object.__setattr__(self, "tau_c", _require_nonnegative(self.tau_c, "tau_c"))
 
     @property
     def duration(self) -> float:
@@ -86,7 +85,7 @@ class ScenarioResult:
     by TIME_SERIES_COLUMNS, computed from the entrywise eigenbasis solution
     with every sample validated as a density matrix.  ``final_numeric``
     comes from d x d unitaries averaged over Gaussian-distributed evolution
-    times, ``final_analytic`` from the entrywise eigenbasis solution.  The
+    times, ``final_analytic`` is the series' last sample, at ``t_max``.  The
     infinite-time limit, the projector sum, is ``born.post_state``.
     """
 
@@ -95,7 +94,6 @@ class ScenarioResult:
     final_analytic: np.ndarray
     born: BornPrediction
     spectrum: Spectrum
-    generator: GeneratorSpec
     t_max: float
     time_series: np.ndarray
 
@@ -105,14 +103,13 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     if not (float(grid_points) >= 2 and float(grid_points).is_integer()):
         raise ValidationError(f"grid_points must be an integer >= 2, got {grid_points}")
     grid_points = int(grid_points)
-    t_max = float(t_max)
-    if not (math.isfinite(t_max) and t_max >= 0.0):
-        raise ValidationError(f"t_max must be finite and >= 0, got {t_max}")
+    t_max = _require_nonnegative(t_max, "t_max")
 
     # the one density-matrix check of rho0; it runs before the drive is checked
     rho0 = validate_density_matrix(rho0, tol)
-    spec = GeneratorSpec(drive=h, tau_c=tau_c)
-    spectrum = eigendecompose(spec.drive, tol)
+    h = as_square_matrix(h)
+    spectrum = eigendecompose(h, tol)  # the one hermiticity check of the drive
+    tau_c = _require_nonnegative(tau_c, "tau_c")
     rho0 = spectrum._require_dim(rho0)
     born = _predict(spectrum, rho0, tol)
     cross = spectrum.labels[:, None] != spectrum.labels[None, :]
@@ -120,7 +117,7 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     # The average rejects a Gaussian width past its step limit, so it runs
     # before the series, whose exponent would overflow at such a width.
     final_numeric = validate_density_matrix(
-        gaussian_average(spec.drive, spec.tau_c, rho0, t_max), tol)
+        gaussian_average(h, tau_c, rho0, t_max), tol)
 
     # Closed form in the eigenbasis: a_ij(t) = a_ij(0) exp((-i D_ij - tau_c D_ij^2) t).
     # Purity and trace distance are unitarily invariant, so they are taken
@@ -133,22 +130,18 @@ def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
     for start in range(0, grid_points, _BLOCK):
         rows = series[start:start + _BLOCK]
         coeffs = _kernels.evolve_coefficients(
-            a0, spectrum.eigenvalues, spec.tau_c, rows[:, 0, None, None]
+            a0, spectrum.eigenvalues, tau_c, rows[:, 0, None, None]
         )
         rows[:, 1] = purity(coeffs, tol)
         rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
         rows[:, 3] = trace_distance(coeffs, born_coeffs, tol)
 
-    final_analytic = from_eigenbasis(spectrum, _kernels.evolve_coefficients(
-        a0, spectrum.eigenvalues, spec.tau_c, t_max))
-
     return ScenarioResult(
         initial=rho0,
         final_numeric=final_numeric,
-        final_analytic=final_analytic,
+        final_analytic=from_eigenbasis(spectrum, coeffs[-1]),  # the grid ends at t_max
         born=born,
         spectrum=spectrum,
-        generator=spec,
         t_max=t_max,
         time_series=series,
     )
@@ -180,4 +173,4 @@ def two_qubit_scenario(pulse: PulseSpec = PulseSpec(), grid_points: int = 200,
 def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
                     tol: Tolerances = DEFAULT_TOLS) -> ScenarioResult:
     """Run an arbitrary Hermitian drive and initial state through the pipeline."""
-    return _run_scenario(h, rho0, float(tau_c), float(t_max), grid_points, tol)
+    return _run_scenario(h, rho0, tau_c, t_max, grid_points, tol)

@@ -22,6 +22,7 @@ from .operators import (
     DEFAULT_TOLS,
     Tolerances,
     ValidationError,
+    _require_nonnegative,
     as_square_matrix,
     require_hermitian,
     validate_density_matrix,
@@ -111,12 +112,10 @@ def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closed-form state at time t from the entrywise eigenbasis solution."""
     rho = spectrum.validate_state(rho0, tol)
-    if not (0.0 <= float(tau_c) < math.inf):
-        raise ValidationError(f"tau_c must be finite and >= 0, got {tau_c}")
-    if not (0.0 <= float(t) < math.inf):
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
+    tau_c = _require_nonnegative(tau_c, "tau_c")
+    t = _require_nonnegative(t, "time")
     a0 = to_eigenbasis(spectrum, rho)
-    at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, float(tau_c), float(t))
+    at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, tau_c, t)
     return from_eigenbasis(spectrum, at)
 
 
@@ -138,9 +137,8 @@ def convergence_time(spectrum: Spectrum, tau_c: float, eps: float) -> float:
     """
     if not (0.0 < float(eps) < 1.0):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    if not (float(tau_c) >= 0.0):
-        raise ValidationError(f"tau_c must be >= 0, got {tau_c}")
-    if len(spectrum.groups) < 2 or float(tau_c) == 0.0:
+    tau_c = _require_nonnegative(tau_c, "tau_c")
+    if len(spectrum.groups) < 2 or tau_c == 0.0:
         return math.inf
     gap = float(np.diff(spectrum.group_eigenvalues).min())
-    return -math.log(float(eps)) / (float(tau_c) * gap * gap)
+    return -math.log(float(eps)) / (tau_c * gap * gap)

@@ -528,6 +528,30 @@ class TestConfigErrors:
         }), encoding="utf-8")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
 
+    @staticmethod
+    def write_off_hermitian_drive(tmp_path):
+        """A custom config whose drive is 1e-8 away from Hermitian."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "custom": {"hamiltonian": [[1.0, 0.5], [0.5 + 1e-8, -1.0]],
+                       "rho0": [[1.0, 0.0], [0.0, 0.0]], "t_max": 40.0},
+        }), encoding="utf-8")
+        return config
+
+    def test_custom_drive_passes_under_the_run_hermiticity_tolerance(self, tmp_path):
+        # the defect moves the endpoint's trace by about 1e-9, so the trace
+        # tolerance is loosened with the hermiticity one
+        config = self.write_off_hermitian_drive(tmp_path)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--set", "tolerances.herm=1e-6", "--set", "tolerances.trace=1e-6") == 0
+
+    def test_custom_drive_fails_under_a_tighter_hermiticity_tolerance(self, tmp_path, capsys):
+        config = self.write_off_hermitian_drive(tmp_path)
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--set", "tolerances.herm=1e-12") == 2
+        assert "hermiticity defect 1.000e-08 exceeds 1.000e-12" in capsys.readouterr().err
+
     def test_custom_nan_state_is_numerical_failure(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -127,10 +127,11 @@ class TestGeneratorSpec:
             GeneratorSpec(drive=SIGMA_Y, tau_c=1.0,
                           extra_dissipators=((np.eye(3), 0.5),))
 
-    def test_rejects_negative_strength(self):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("strength", [-0.5, np.inf, np.nan])
+    def test_rejects_bad_strength(self, strength):
+        with pytest.raises(ValidationError, match="dissipator strength must be finite and >= 0"):
             GeneratorSpec(drive=SIGMA_Y, tau_c=1.0,
-                          extra_dissipators=((SIGMA_X, -0.5),))
+                          extra_dissipators=((SIGMA_X, strength),))
 
     def test_dim(self):
         assert GeneratorSpec(drive=np.eye(3), tau_c=0.0).dim == 3
@@ -234,8 +235,13 @@ class TestPropagate:
     def test_rejects_overflowing_time(self):
         # the generator's entries times t overflow
         spec = GeneratorSpec(drive=np.diag([0.0, 1.0, 100.0]), tau_c=1e200)
-        with pytest.raises(ValidationError, match="1-norm inf"):
+        with pytest.raises(ValidationError, match="cannot exponentiate a matrix with 1-norm inf$"):
             propagate(spec, maximally_mixed(3), 1e200)
+
+    @pytest.mark.parametrize("t", [np.nan, -1.0])
+    def test_rejects_a_bad_time_naming_no_sample(self, t):
+        with pytest.raises(ValidationError, match=f"time must be finite and >= 0, got {t}$"):
+            propagate(GeneratorSpec(drive=SIGMA_Y), maximally_mixed(2), t)
 
     @pytest.mark.parametrize("t", [0.3, 25.0])
     @pytest.mark.parametrize("extras", [0, 2])

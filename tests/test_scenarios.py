@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from frqme import (
     DEFAULT_TOLS,
     DimensionMismatchError,
+    GeneratorSpec,
     NegativeEigenvalueError,
     NonHermitianError,
     PulseSpec,
+    SIGMA_Y,
     TIME_SERIES_COLUMNS,
     TraceDeviationError,
     ValidationError,
@@ -95,15 +97,15 @@ ENTANGLED_PAIR_LIMIT = 0.25 * np.array(
 )
 
 
-def stepped_time_series(result, tol=DEFAULT_TOLS):
+def stepped_time_series(result, drive, tau_c, tol=DEFAULT_TOLS):
     """Reference time series from grid propagation and per-sample operators.
 
-    Iterates one Liouville step propagator over the grid, then measures each
-    state on its own; the scenario runner must reproduce this from the
-    closed form.
+    Iterates one Liouville step propagator of ``drive`` and ``tau_c`` over
+    the grid, then measures each state on its own; the scenario runner must
+    reproduce this from the closed form.
     """
     grid_points = result.time_series.shape[0]
-    step = matrix_exponential(build_generator(result.generator, tol),
+    step = matrix_exponential(build_generator(GeneratorSpec(drive=drive, tau_c=tau_c), tol),
                               result.t_max / (grid_points - 1))
     grid = _kernels.propagate_grid(step, vectorize(result.initial), grid_points - 1)
     labels = result.spectrum.labels
@@ -169,17 +171,18 @@ def test_endpoint_never_takes_the_liouville_exponential(liouville_refused, make)
     assert np.abs(result.final_numeric - result.final_analytic).max() <= 1e-12
 
 
-@pytest.mark.parametrize("make, groups", [
+@pytest.mark.parametrize("make, drive, tau_c, groups", [
     (lambda: single_qubit_scenario(0.8, 1.9, PulseSpec(kappa=12.0, tau_c=0.3),
-                                   grid_points=200), 2),
-    (lambda: two_qubit_scenario(PulseSpec(kappa=27.0), grid_points=1100), 2),
+                                   grid_points=200), 0.5 * SIGMA_Y, 0.3, 2),
+    (lambda: two_qubit_scenario(PulseSpec(kappa=27.0), grid_points=1100),
+     0.5 * np.kron(SIGMA_Y, np.eye(2)), 1.0, 2),
     (lambda: custom_scenario(*near_degenerate_drive(5), tau_c=0.5, t_max=30.0,
-                             grid_points=700), 8),
+                             grid_points=700), near_degenerate_drive(5)[0], 0.5, 8),
 ], ids=["single_qubit", "two_qubit", "custom_d8_near_degenerate"])
-def test_time_series_matches_stepped_propagation(make, groups):
+def test_time_series_matches_stepped_propagation(make, drive, tau_c, groups):
     result = make()
     assert len(result.spectrum.groups) == groups
-    np.testing.assert_allclose(result.time_series, stepped_time_series(result),
+    np.testing.assert_allclose(result.time_series, stepped_time_series(result, drive, tau_c),
                                rtol=0, atol=1e-12)
 
 

@@ -287,6 +287,11 @@ class TestConvergenceTime:
             with pytest.raises(ValidationError):
                 convergence_time(spectrum, 1.0, eps)
 
+    @pytest.mark.parametrize("tau_c", [-0.5, np.inf, np.nan])
+    def test_rejects_a_bad_tau_c(self, tau_c):
+        with pytest.raises(ValidationError, match="tau_c must be finite and >= 0"):
+            convergence_time(eigendecompose(np.diag([0.0, 1.0])), tau_c, 1e-10)
+
     def test_actually_converges_to_that_factor(self):
         rng = np.random.default_rng(9)
         h = random_hermitian(rng, 3)
