@@ -418,7 +418,7 @@ def cmd_sweep(config: dict) -> int:
         rows.append([
             parameter,
             float(point[parameter]),
-            point["omega1"] * point["tau_c"] * point["kappa"],
+            PulseSpec(point["kappa"], point["omega1"], point["tau_c"]).decay_product,
             trace_distance(final, result.born.post_state, tol),
             purity(final, tol),
             float(result.born.probabilities[top_group]),

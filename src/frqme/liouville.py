@@ -134,9 +134,7 @@ def build_generator(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOLS) -> np.n
 
 def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     """exp(m * t) via scaling-and-squaring with a Taylor core, as complex128."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    a = as_square_matrix(m)
     t = _require_nonnegative(t, "time")
     with np.errstate(over="ignore", invalid="ignore"):
         a = a * t  # the kernel refuses a non-finite product

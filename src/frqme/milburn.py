@@ -96,7 +96,10 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     rule has one node and this is the plain conjugation U(t) rho U(t)^H.
     The result is exactly Hermitian.  More than ``_GAUSS_MAX_STEPS`` baby
     steps, or eps * span * t past ``_GAUSS_MAX_PHASE``, raise ValidationError.
+    A drive that is not exactly Hermitian is replaced by its Hermitian part,
+    as ``spectral.eigendecompose`` does, so the average stays trace-preserving.
     """
+    h = 0.5 * (h + h.conj().T)
     d = h.shape[0]
     step, spacing, k, m = _gaussian_grid(h, tau_c, t)
     if m > _GAUSS_MAX_STEPS:

@@ -76,18 +76,21 @@ def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
     """Diagonalize a Hermitian drive and cluster near-equal eigenvalues.
 
     Adjacent eigenvalues closer than tol.degeneracy_threshold(eigenvalues)
-    fall into the same group, so exact degeneracies survive roundoff.
+    fall into the same group, so exact degeneracies survive roundoff.  A
+    drive within tol.herm of Hermitian is replaced by its Hermitian part,
+    the drive the Gaussian average evolves under too.
     """
     hm = require_hermitian(as_square_matrix(h), tol)
-    eigenvalues, eigenvectors = np.linalg.eigh(hm)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hm + hm.conj().T))
     threshold = tol.degeneracy_threshold(eigenvalues)
     # a new group starts after every gap wider than the threshold
     starts = (np.flatnonzero(np.diff(eigenvalues) > threshold) + 1).tolist()
     bounds = [0, *starts, eigenvalues.size]
-    groups = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    spans = list(zip(bounds, bounds[1:]))
+    groups = tuple(tuple(range(a, b)) for a, b in spans)
     labels = np.repeat(np.arange(len(groups), dtype=np.intp), np.diff(bounds))
-    group_eigenvalues = np.array([np.mean(eigenvalues[list(g)]) for g in groups])
-    columns = [eigenvectors[:, list(g)] for g in groups]
+    group_eigenvalues = np.array([np.mean(eigenvalues[a:b]) for a, b in spans])
+    columns = [eigenvectors[:, a:b] for a, b in spans]
     projectors = tuple(c @ c.conj().T for c in columns)
     for a in (labels, group_eigenvalues, *projectors):
         a.flags.writeable = False

@@ -21,7 +21,7 @@ from .liouville import (
     GeneratorSpec,
     build_generator,
     choi_matrix,
-    commutator_superop,
+    devectorize,
     double_commutator_superop,
     matrix_exponential,
     propagate,
@@ -66,13 +66,9 @@ class CheckResult:
     elapsed: float = 0.0
 
 
-def _single_qubit_expected(theta: float, phi: float) -> np.ndarray:
-    s = np.sin(theta) * np.sin(phi)
-    return 0.5 * np.array([[1.0, -1j * s], [1j * s, 1.0]], dtype=np.complex128)
-
-
 def _single_qubit_pulse_matrix(theta: float, phi: float, kappa: float, decay: float) -> np.ndarray:
-    # closed-form endpoint of the driven qubit, normalized to unit trace
+    # closed-form endpoint of the driven qubit, normalized to unit trace;
+    # decay = inf gives its long-time limit, the Born mixture
     a = np.sin(theta) * np.sin(kappa) * np.cos(phi) - np.cos(kappa) * np.cos(theta)
     b = np.cos(kappa) * np.cos(phi) * np.sin(theta) + np.cos(theta) * np.sin(kappa)
     s = np.sin(phi) * np.sin(theta)
@@ -86,21 +82,9 @@ def _single_qubit_pulse_matrix(theta: float, phi: float, kappa: float, decay: fl
     )
 
 
-def _two_qubit_expected() -> np.ndarray:
-    return 0.25 * np.array(
-        [
-            [1, 0, 0, 1],
-            [0, 1, -1, 0],
-            [0, -1, 1, 0],
-            [1, 0, 0, 1],
-        ],
-        dtype=np.complex128,
-    )
-
-
 def _two_qubit_pulse_matrix(kappa: float, decay: float) -> np.ndarray:
-    # closed-form endpoint for the driven-first-qubit entangled pair; the
-    # attenuation of every oscillating entry is exp(-omega1*tau_c*kappa)
+    # closed-form endpoint for the driven-first-qubit entangled pair (its
+    # long-time limit at decay = inf); oscillating entries decay as exp(-decay)
     s = np.exp(-decay) * np.sin(kappa)
     c = np.exp(-decay) * np.cos(kappa)
     return 0.25 * np.array(
@@ -123,7 +107,8 @@ def _check_single_qubit_asymptotic(tol: Tolerances):
               for phi in np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)]
     spec = GeneratorSpec(drive=0.5 * SIGMA_Y, tau_c=1.0)
     rho0 = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi in angles])
-    expected = np.array([_single_qubit_expected(theta, phi) for theta, phi in angles])
+    expected = np.array([_single_qubit_pulse_matrix(theta, phi, 0.0, np.inf)
+                         for theta, phi in angles])
     worst = _max_entry_error(propagate(spec, rho0, 40.0, tol), expected)
     return worst <= 1e-9, f"max entry error {worst:.3e} over 81 Bloch angles (limit 1e-09)"
 
@@ -132,17 +117,16 @@ def _check_single_qubit_finite_pulse(tol: Tolerances):
     angles = (0.0, np.pi / 3.0, np.pi / 2.0)
     spec = GeneratorSpec(drive=0.5 * SIGMA_Y, tau_c=1.0)
     spectrum = eigendecompose(spec.drive, tol)
-    pairs = [(theta, phi) for theta in angles for phi in angles]
-    states = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi in pairs])
+    pulses = [(theta, phi, kappa) for kappa in angles for theta in angles for phi in angles]
+    states = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi, _ in pulses])
+    numerics = propagate(spec, states, [kappa for _, _, kappa in pulses], tol)
     worst_numeric = 0.0
     worst_closed_form = 0.0
-    for kappa in angles:
-        numerics = propagate(spec, states, kappa, tol)
-        for (theta, phi), rho0, numeric in zip(pairs, states, numerics):
-            oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
-            closed = _single_qubit_pulse_matrix(theta, phi, kappa, kappa)
-            worst_numeric = max(worst_numeric, _max_entry_error(numeric, oracle))
-            worst_closed_form = max(worst_closed_form, _max_entry_error(closed, oracle))
+    for (theta, phi, kappa), rho0, numeric in zip(pulses, states, numerics):
+        oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
+        closed = _single_qubit_pulse_matrix(theta, phi, kappa, kappa)
+        worst_numeric = max(worst_numeric, _max_entry_error(numeric, oracle))
+        worst_closed_form = max(worst_closed_form, _max_entry_error(closed, oracle))
     passed = worst_numeric <= 1e-9 and worst_closed_form <= 1e-9
     return passed, (
         f"27 pulses: numeric vs eigenbasis {worst_numeric:.3e}, "
@@ -156,12 +140,9 @@ def _check_two_qubit_pulse_oracles(tol: Tolerances):
     spec = GeneratorSpec(drive=drive, tau_c=1.0)
     spectrum = eigendecompose(drive, tol)
     rho0 = pure_density(bell_amplitudes(), tol)
-
-    late = propagate(spec, rho0, 20.0, tol)
-    err_late = _max_entry_error(late, _two_qubit_expected())
-
     kappa = np.pi / 3.0
-    finite = propagate(spec, rho0, kappa, tol)
+    late, finite = propagate(spec, np.array([rho0, rho0]), [20.0, kappa], tol)
+    err_late = _max_entry_error(late, _two_qubit_pulse_matrix(0.0, np.inf))
     oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
     err_finite = _max_entry_error(finite, oracle)
     err_pattern = _max_entry_error(_two_qubit_pulse_matrix(kappa, kappa), oracle)
@@ -216,8 +197,8 @@ def _random_state(rng, dim: int, mixed: bool) -> np.ndarray:
 def _check_born_equivalence_random(tol: Tolerances):
     rng = np.random.default_rng(RNG_SEED)
     dims = (2, 3, 4, 6)
-    # per dimension: specs, initial states, times, projector sums, predictions
-    batches = {dim: ([], [], [], [], []) for dim in dims}
+    # per dimension: one (spec, state, time, projector sum, prediction) per instance
+    batches = {dim: [] for dim in dims}
     worst_limit = 0.0
     worst_finite = 0.0
     for i in range(200):
@@ -235,13 +216,10 @@ def _check_born_equivalence_random(tol: Tolerances):
         predicted = born_predict(spectrum, rho0, tol).post_state
         worst_limit = max(worst_limit, _max_entry_error(limit, predicted))
 
-        specs, states, times, limits, predictions = batches[dim]
-        specs.append(GeneratorSpec(drive=h, tau_c=tau_c))
-        states.append(rho0)
-        times.append(convergence_time(spectrum, tau_c, 1e-14))
-        limits.append(limit)
-        predictions.append(predicted)
-    for specs, states, times, limits, predictions in batches.values():
+        batches[dim].append((GeneratorSpec(drive=h, tau_c=tau_c), rho0,
+                             convergence_time(spectrum, tau_c, 1e-14), limit, predicted))
+    for batch in batches.values():
+        specs, states, times, limits, predictions = zip(*batch)
         rho_t = propagate(specs, np.array(states), times, tol)
         worst_finite = max(worst_finite, _max_entry_error(rho_t, limits),
                            _max_entry_error(rho_t, predictions))
@@ -306,13 +284,9 @@ def _check_complete_positivity(tol: Tolerances):
 
 
 def _superop_from_action(apply_map, dim: int) -> np.ndarray:
-    out = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for j in range(dim):
-        for i in range(dim):
-            basis = np.zeros((dim, dim), dtype=np.complex128)
-            basis[i, j] = 1.0
-            out[:, j * dim + i] = vectorize(apply_map(basis))
-    return out
+    # column k is the vectorized image of the k-th column-stacked basis matrix
+    basis = devectorize(np.eye(dim * dim, dtype=np.complex128))
+    return vectorize(apply_map(basis)).T
 
 
 def _check_structural_identities(tol: Tolerances):
@@ -337,11 +311,11 @@ def _check_structural_identities(tol: Tolerances):
         (0.5 * SIGMA_Y, rho0, 1.0, 2.0),
         (h3, rho3, 0.7, 1.3),
     )
+    scales = (1.0, 0.1, 3.0, 17.0)  # the unscaled reference first
     for h, rho, tau_c, t in baselines:
-        reference = propagate(GeneratorSpec(drive=h, tau_c=tau_c), rho, t, tol)
-        for s in (0.1, 3.0, 17.0):
-            rescaled = propagate(GeneratorSpec(drive=s * h, tau_c=tau_c / s), rho, t / s, tol)
-            worst_scaling = max(worst_scaling, _max_entry_error(rescaled, reference))
+        specs = [GeneratorSpec(drive=s * h, tau_c=tau_c / s) for s in scales]
+        reference, *rescaled = propagate(specs, rho, [t / s for s in scales], tol)
+        worst_scaling = max(worst_scaling, _max_entry_error(rescaled, reference))
 
     passed = worst_l2 <= 1e-12 and worst_semigroup <= 1e-10 and worst_scaling <= 1e-10
     return passed, (

@@ -5,9 +5,10 @@ single pass/fail line, so ``pytest tests/test_acceptance.py -s`` doubles as a
 human-readable report.  The first four checks also carry runtime budgets.
 """
 
+import numpy as np
 import pytest
 
-from frqme import scenarios
+from frqme import GeneratorSpec, scenarios, verify
 from frqme.verify import run_checks
 
 
@@ -73,3 +74,29 @@ def test_broken_gaussian_average_fails_dissipative_decay(monkeypatch):
     assert [result.name for result in failed] == ["dissipative_decay"]
     assert failed[0].kind == "comparison"
     print(f"dissipative_decay with a broken average: FAIL  {failed[0].detail}")
+
+
+def test_broken_liouville_oracle_fails_every_check_it_feeds(monkeypatch):
+    # a propagate that returns its input states, one per spec as the real one
+    # does, is caught by each check that compares a propagated state with a
+    # limit or a closed form; the rescaling and fixed-point checks compare
+    # propagated states only with each other, and they still pass
+    def unchanged(spec, rho0, t, tol):
+        if isinstance(spec, GeneratorSpec):
+            return rho0
+        return np.broadcast_to(rho0, (len(spec),) + np.shape(rho0)[-2:])
+
+    monkeypatch.setattr(verify, "propagate", unchanged)
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == [
+        "single_qubit_asymptotic", "single_qubit_finite_pulse",
+        "two_qubit_pulse_oracles", "born_equivalence_random"]
+    assert {result.kind for result in failed} == {"comparison"}
+
+
+def test_superop_from_action_matches_the_column_stacking_formula():
+    # vec(A rho B) = (B^T kron A) vec(rho); each entry is one complex product
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    np.testing.assert_allclose(verify._superop_from_action(lambda m: a @ m @ b, 3),
+                               np.kron(b.T, a), rtol=1e-15, atol=1e-15)

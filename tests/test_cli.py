@@ -540,11 +540,22 @@ class TestConfigErrors:
         return config
 
     def test_custom_drive_passes_under_the_run_hermiticity_tolerance(self, tmp_path):
-        # the defect moves the endpoint's trace by about 1e-9, so the trace
-        # tolerance is loosened with the hermiticity one
+        # a looser trace tolerance as well is harmless; the test below shows
+        # that the hermiticity one alone suffices
         config = self.write_off_hermitian_drive(tmp_path)
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"),
                        "--set", "tolerances.herm=1e-6", "--set", "tolerances.trace=1e-6") == 0
+
+    def test_custom_drive_endpoints_use_its_hermitian_part(self, tmp_path):
+        # both endpoints evolve under the drive's Hermitian part, so the
+        # average keeps the trace and agrees with the closed form
+        config = self.write_off_hermitian_drive(tmp_path)
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(config), "--out", str(out),
+                       "--set", "tolerances.herm=1e-6") == 0
+        matrices = read_json(out / "result.json")["matrices"]
+        final = as_complex_matrix(matrices["final"])
+        assert np.abs(final - as_complex_matrix(matrices["final_analytic"])).max() <= 1e-12
 
     def test_custom_drive_fails_under_a_tighter_hermiticity_tolerance(self, tmp_path, capsys):
         config = self.write_off_hermitian_drive(tmp_path)

@@ -176,6 +176,12 @@ class TestMatrixExponential:
         with pytest.raises(ValidationError):
             matrix_exponential(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"expected a square matrix, got shape \({shape[0]}"):
+            matrix_exponential(np.ones(shape))
+
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValidationError):
             matrix_exponential(np.array([[np.inf, 0.0], [0.0, 0.0]]))
