@@ -53,10 +53,6 @@ SCENARIOS = ("single_qubit", "two_qubit", "custom")
 SWEEP_PARAMETERS = ("kappa", "tau_c", "omega1", "theta", "phi")
 ANGLE_SWEEPS = ("theta", "phi")
 _TOLERANCE_KEYS = tuple(field.name for field in dataclasses.fields(Tolerances))
-_TOP_LEVEL_KEYS = frozenset({
-    "scenario", "theta", "phi", "kappa", "omega1", "tau_c", "grid_points",
-    "eps_converge", "compare_tol", "out", "tolerances", "custom", "sweep",
-})
 _CUSTOM_KEYS = frozenset({"hamiltonian", "rho0", "t_max"})
 _SWEEP_KEYS = frozenset({"parameter", "values"})
 # 17 significant digits round-trip every float64.
@@ -85,6 +81,9 @@ def default_config() -> dict:
         "out": "frqme-out",
         "tolerances": dataclasses.asdict(DEFAULT_TOLS),
     }
+
+
+_TOP_LEVEL_KEYS = frozenset(default_config()) | {"custom", "sweep"}
 
 
 def _merge(base: dict, override: dict) -> dict:

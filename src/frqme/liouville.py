@@ -104,16 +104,15 @@ class GeneratorSpec:
     extra_dissipators: tuple = ()
 
     def __post_init__(self):
-        drive = require_hermitian(as_square_matrix(self.drive))
+        drive = as_square_matrix(self.drive)
         object.__setattr__(self, "drive", drive)
         object.__setattr__(self, "tau_c", _require_nonnegative(self.tau_c, "tau_c"))
         checked = []
         for op, strength in self.extra_dissipators:
-            om = require_hermitian(as_square_matrix(op))
+            om = as_square_matrix(op)
             if om.shape != drive.shape:
-                raise ValidationError(
-                    f"dissipator shape {om.shape} differs from drive {drive.shape}"
-                )
+                raise ValidationError(f"dissipator shape {om.shape} differs from drive "
+                                      f"{drive.shape}")
             checked.append((om, _require_nonnegative(strength, "dissipator strength")))
         object.__setattr__(self, "extra_dissipators", tuple(checked))
 
@@ -185,15 +184,15 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     step = max(1, _BATCH_BYTES // size)
     for start in range(0, n, step):
         batch = slice(start, start + step)
-        gens = gen if shared else np.array([build_generator(s, tol) for s in specs[batch]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = gens * times[batch, None, None]  # the kernel refuses a non-finite product
         try:
+            gens = gen if shared else np.array([build_generator(s, tol) for s in specs[batch]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = gens * times[batch, None, None]  # expm refuses a non-finite product
             props = _kernels.expm(scaled if stacked else scaled[0])
         except ValidationError as exc:
             if not stacked:
                 raise
-            raise ValidationError(f"{exc} of the batch that starts at sample {start}") from None
+            raise type(exc)(f"{exc} of the batch that starts at sample {start}") from None
         out[batch] = np.matmul(props, vecs[batch, :, None])[..., 0]
     return project_to_physical(devectorize(out if stacked else out[0]), tol)
 

@@ -37,14 +37,15 @@ def _span_bound(h: np.ndarray) -> float:
     for the mean eigenvalue c.
     """
     centres = h.diagonal().real
-    radii = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
-    gershgorin = float((centres + radii).max() - (centres - radii).min())
-    shifted = h - centres.mean() * np.eye(h.shape[0])
-    return min(gershgorin, math.sqrt(2.0) * float(np.linalg.norm(shifted)))
+    with np.errstate(over="ignore"):  # entries near 1e300: min keeps the finite bound
+        radii = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+        gershgorin = float((centres + radii).max() - (centres - radii).min())
+        shifted = h - centres.mean() * np.eye(h.shape[0])
+        return min(gershgorin, math.sqrt(2.0) * float(np.linalg.norm(shifted)))
 
 
 # The most baby steps m the Gaussian average takes: d^2 at the target scale
-# d = 64, where its (m, d, d) stack stays within the d^2 x d^2 generator.  Its
+# d = 64, where its (m, d, d) stack of T_i takes m d^2 16 bytes = 268 MB.  Its
 # largest phase budget eps * span * t: past it the two Newton-Schulz steps on
 # V let the trace of random tau_c = 0 endpoints drift past 1e-10 (the
 # packaged pulses reach 2.2e-3 at kappa = 1e13).
@@ -52,17 +53,16 @@ _GAUSS_MAX_STEPS = 64 ** 2
 _GAUSS_MAX_PHASE = 2.5e-3
 
 
-def _gaussian_grid(h: np.ndarray, tau_c: float, t: float):
+def _gaussian_grid(span: float, tau_c: float, t: float):
     """Trapezoid rule for the Gaussian average: (step, spacing, K, m).
 
     The nodes are xi = k * step for |k| <= K, step = spacing * sigma, where
     the spacing 2 pi / (span sigma + 8.6) keeps the aliasing margin 8.6 /
     sigma above the span; m = ceil(sqrt(2K + 1)) is the number of baby
-    steps.  A zero width span * sigma (sigma = 0, or h a multiple of I)
-    gives K = 0, m = 1 and step 0; m is inf when the width overflows.
+    steps.  A zero width span * sigma (sigma = 0, or a drive c I) gives
+    K = 0, m = 1 and step 0; m is inf when the width overflows.
     """
     sigma = math.sqrt(2.0 * tau_c * t)
-    span = _span_bound(h)
     width = span * sigma if span else 0.0
     if not math.isfinite(width):
         return math.inf, 0.0, 0, math.inf
@@ -94,17 +94,22 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     The (m, d, d) stack of T_i is its one array that grows with m; the
     Y_j are formed and folded at most d^2 at a time.  When sigma = 0 the
     rule has one node and this is the plain conjugation U(t) rho U(t)^H.
-    The result is exactly Hermitian.  More than ``_GAUSS_MAX_STEPS`` baby
-    steps, or eps * span * t past ``_GAUSS_MAX_PHASE``, raise ValidationError.
-    A drive that is not exactly Hermitian is replaced by its Hermitian part,
-    as ``spectral.eigendecompose`` does, so the average stays trace-preserving.
+    The result is exactly Hermitian.  Past ``_GAUSS_MAX_STEPS`` baby steps, or
+    eps * span * t past ``_GAUSS_MAX_PHASE``, it raises ValidationError before
+    any exponential.  A drive not exactly Hermitian is replaced by its Hermitian
+    part, as ``spectral.eigendecompose`` does, so the average stays trace-preserving.
     """
     h = 0.5 * (h + h.conj().T)
     d = h.shape[0]
-    step, spacing, k, m = _gaussian_grid(h, tau_c, t)
+    span = _span_bound(h)
+    step, spacing, k, m = _gaussian_grid(span, tau_c, t)
     if m > _GAUSS_MAX_STEPS:
         raise ValidationError(f"the Gaussian average needs {m} baby steps, more than "
                               f"its limit _GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}")
+    if (phase := np.finfo(np.float64).eps * span * t) > _GAUSS_MAX_PHASE:
+        raise ValidationError(f"the phase budget eps * span * t = {phase:.3g} is past its limit"
+                              f" _GAUSS_MAX_PHASE = {_GAUSS_MAX_PHASE}; lower kappa, or"
+                              " custom.t_max or the span of custom.hamiltonian")
     # the average is blind to a shift of h by a multiple of the identity
     h0 = h - (np.trace(h).real / d) * np.eye(d)
     # Roundoff leaves V (from its squarings) and G (from its products) off
@@ -115,14 +120,7 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     # two, because far past the decay horizon its squarings leave it off by
     # up to 4e-5 (t = 1e12 at d = 2), which one step only brings to 1e-9.
     # The phase error that remains cancels as the coherences decay.
-    with np.errstate(over="ignore", invalid="ignore"):
-        offset = -1j * (t - k * step) * h0  # expm refuses a non-finite one
-    v = _kernels.expm(offset)  # first, so its own errors name an overflowing offset
-    if (phase := np.finfo(np.float64).eps * _span_bound(h) * t) > _GAUSS_MAX_PHASE:
-        raise ValidationError(f"the phase budget eps * span * t = {phase:.3g} is past its limit"
-                              f" _GAUSS_MAX_PHASE = {_GAUSS_MAX_PHASE}; lower kappa, or"
-                              " custom.t_max or the span of custom.hamiltonian")
-    v = _unitarize(_unitarize(v))
+    v = _unitarize(_unitarize(_kernels.expm(-1j * (t - k * step) * h0)))
     u = _kernels.expm(-1j * step * h0)
     giant = _unitarize(np.linalg.matrix_power(u, m))
     terms = np.empty((m, d, d), dtype=np.complex128)

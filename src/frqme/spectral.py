@@ -113,12 +113,18 @@ def from_eigenbasis(spectrum: Spectrum, coeffs) -> np.ndarray:
 
 def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Closed-form state at time t from the entrywise eigenbasis solution."""
+    """Closed-form state at time t from the entrywise eigenbasis solution.
+
+    A decay exponent past the float range gives exactly 0; phases past it raise.
+    """
     rho = spectrum.validate_state(rho0, tol)
     tau_c = _require_nonnegative(tau_c, "tau_c")
     t = _require_nonnegative(t, "time")
     a0 = to_eigenbasis(spectrum, rho)
-    at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, tau_c, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, tau_c, t)
+    if not np.isfinite(at).all():
+        raise ValidationError(f"the eigenbasis solution overflows at time {t}")
     return from_eigenbasis(spectrum, at)
 
 

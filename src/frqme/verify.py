@@ -120,13 +120,10 @@ def _check_single_qubit_finite_pulse(tol: Tolerances):
     pulses = [(theta, phi, kappa) for kappa in angles for theta in angles for phi in angles]
     states = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi, _ in pulses])
     numerics = propagate(spec, states, [kappa for _, _, kappa in pulses], tol)
-    worst_numeric = 0.0
-    worst_closed_form = 0.0
-    for (theta, phi, kappa), rho0, numeric in zip(pulses, states, numerics):
-        oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
-        closed = _single_qubit_pulse_matrix(theta, phi, kappa, kappa)
-        worst_numeric = max(worst_numeric, _max_entry_error(numeric, oracle))
-        worst_closed_form = max(worst_closed_form, _max_entry_error(closed, oracle))
+    oracles = [analytic_evolve(spectrum, rho0, 1.0, p[2], tol) for p, rho0 in zip(pulses, states)]
+    closed = [_single_qubit_pulse_matrix(theta, phi, kappa, kappa) for theta, phi, kappa in pulses]
+    worst_numeric = _max_entry_error(numerics, oracles)
+    worst_closed_form = _max_entry_error(closed, oracles)
     passed = worst_numeric <= 1e-9 and worst_closed_form <= 1e-9
     return passed, (
         f"27 pulses: numeric vs eigenbasis {worst_numeric:.3e}, "

@@ -345,26 +345,26 @@ class TestEndpointLimits:
         assert proc.returncode == 2, proc.stderr
         assert "needs inf baby steps" in proc.stderr
 
-    @pytest.mark.parametrize("levels, tau_c, t_max", [
+    @pytest.mark.parametrize("case", [
         ([0.0, 1.0, 100.0], 1e200, 1e200),
         ([0.0, 1e10], 0.0, 1e300),
         ([0.0, 1.0], 0.0, 1e300),
-    ], ids=["width", "offset", "squarings"])
-    def test_overflow_exits_without_a_warning(self, tmp_path, levels, tau_c, t_max):
+        ("--set", "omega1=1e300", "--set", "kappa=1e10"),
+    ], ids=["width", "offset", "squarings", "span"])
+    def test_overflow_exits_without_a_warning(self, tmp_path, case):
         # a subprocess, so that numpy's RuntimeWarnings print as they would
-        # for a user instead of raising
-        rho0 = np.zeros((len(levels),) * 2)
-        rho0[0, 0] = 1.0
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "scenario": "custom",
-            "tau_c": tau_c,
-            "custom": {"hamiltonian": np.diag(levels).tolist(), "rho0": rho0.tolist(),
-                       "t_max": t_max},
-        }), encoding="utf-8")
+        # for a user instead of raising; the last case is a qubit drive with
+        # entries near 1e300, whose Frobenius span bound overflows
+        if case[0] == "--set":
+            args = list(case)
+        else:
+            levels, tau_c, t_max = case
+            rho0 = np.zeros((len(levels),) * 2)
+            rho0[0, 0] = 1.0
+            config = self.write_custom(tmp_path, levels, rho0.tolist(), tau_c, t_max)
+            args = ["--config", str(config)]
         proc = subprocess.run(
-            [sys.executable, "-m", "frqme.cli", "run", "--config", str(config),
-             "--out", str(tmp_path / "o")],
+            [sys.executable, "-m", "frqme.cli", "run", *args, "--out", str(tmp_path / "o")],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2, proc.stderr

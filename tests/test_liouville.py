@@ -11,12 +11,15 @@ from frqme import (
     GeneratorSpec,
     NonHermitianError,
     SIGMA_Y,
+    Tolerances,
     ValidationError,
+    analytic_evolve,
     build_generator,
     choi_matrix,
     commutator_superop,
     devectorize,
     double_commutator_superop,
+    eigendecompose,
     matrix_exponential,
     propagate,
     pure_density,
@@ -109,19 +112,6 @@ class TestGeneratorSpec:
         with pytest.raises(ValidationError, match="tau_c must be finite"):
             GeneratorSpec(drive=SIGMA_Y, tau_c=tau_c)
 
-    def test_rejects_non_hermitian_drive(self):
-        with pytest.raises(NonHermitianError):
-            GeneratorSpec(drive=np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_drive(self, bad):
-        drive = SIGMA_Y.copy()
-        drive[0, 1] = bad
-        with pytest.raises(NonHermitianError):
-            GeneratorSpec(drive=drive)
-        with pytest.raises(NonHermitianError):
-            GeneratorSpec(drive=np.full((2, 2), bad))
-
     def test_rejects_mismatched_dissipator(self):
         with pytest.raises(ValidationError):
             GeneratorSpec(drive=SIGMA_Y, tau_c=1.0,
@@ -138,6 +128,33 @@ class TestGeneratorSpec:
 
 
 class TestBuildGenerator:
+    def test_rejects_non_hermitian_drive(self):
+        with pytest.raises(NonHermitianError):
+            build_generator(GeneratorSpec(drive=np.array([[0.0, 1.0], [0.5, 0.0]])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_drive(self, bad):
+        drive = SIGMA_Y.copy()
+        drive[0, 1] = bad
+        with pytest.raises(NonHermitianError):
+            build_generator(GeneratorSpec(drive=drive))
+        with pytest.raises(NonHermitianError):
+            build_generator(GeneratorSpec(drive=np.full((2, 2), bad)))
+
+    def test_rejects_non_hermitian_channel(self):
+        spec = GeneratorSpec(drive=SIGMA_Y, tau_c=1.0,
+                             extra_dissipators=((np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),))
+        with pytest.raises(NonHermitianError):
+            build_generator(spec)
+
+    def test_checks_the_drive_under_the_given_tolerances(self):
+        # a hermiticity defect of 1e-8: past the default 1e-10, within 1e-6
+        spec = GeneratorSpec(drive=np.array([[1.0, 0.5], [0.5 + 1e-8, -1.0]]), tau_c=0.3)
+        with pytest.raises(NonHermitianError,
+                           match="hermiticity defect 1.000e-08 exceeds 1.000e-10"):
+            build_generator(spec)
+        build_generator(spec, Tolerances(herm=1e-6))
+
     def test_equation_of_motion(self):
         # d rho/dt at t=0 must equal -i[H,rho] - tau_c[H,[H,rho]]
         rng = np.random.default_rng(5)
@@ -244,6 +261,16 @@ class TestPropagate:
         with pytest.raises(ValidationError, match="cannot exponentiate a matrix with 1-norm inf$"):
             propagate(spec, maximally_mixed(3), 1e200)
 
+    def test_admits_a_drive_within_the_given_tolerances(self):
+        # the drive is checked once, when its generator is built, under the
+        # call's tolerances; the closed form evolves its Hermitian part
+        drive = np.array([[1.0, 0.5], [0.5 + 1e-8, -1.0]])
+        rho = pure_density(qubit_state(0.4, 1.1))
+        tol = Tolerances(herm=1e-6)
+        out = propagate(GeneratorSpec(drive=drive, tau_c=0.3), rho, 40.0, tol)
+        expected = analytic_evolve(eigendecompose(drive, tol), rho, 0.3, 40.0)
+        assert np.abs(out - expected).max() <= 1e-12
+
     @pytest.mark.parametrize("t", [np.nan, -1.0])
     def test_rejects_a_bad_time_naming_no_sample(self, t):
         with pytest.raises(ValidationError, match=f"time must be finite and >= 0, got {t}$"):
@@ -334,6 +361,17 @@ class TestPropagateStacks:
         with pytest.raises(ValidationError,
                            match="1-norm inf in sample 1 of the batch that starts at sample 3"):
             propagate(spec, maximally_mixed(6), times)
+
+    def test_names_a_bad_drive_by_its_batch(self):
+        # at d = 6 a batch holds 3 generators: spec 4 is in the second
+        specs, states, times = self.instances(43, 6, 5)
+        drive = specs[4].drive.copy()
+        drive[0, 1] += 1e-3
+        specs[4] = GeneratorSpec(drive=drive, tau_c=specs[4].tau_c)
+        with pytest.raises(NonHermitianError,
+                           match="defect 1.000e-03 exceeds 1.000e-10 of the batch that "
+                                 "starts at sample 3$"):
+            propagate(specs, states, times)
 
     def test_rejects_mismatched_counts_and_dimensions(self):
         specs, states, times = self.instances(42, 2, 4)

@@ -15,6 +15,7 @@ from frqme import (
     validate_density_matrix,
     vectorize,
 )
+from frqme import _kernels
 from frqme.milburn import (
     _GAUSS_MAX_PHASE,
     _GAUSS_MAX_STEPS,
@@ -70,7 +71,7 @@ class TestGaussianAverage:
         h, rho = random_hermitian(rng, dim), random_density(rng, dim)
         sigma = frac * (dim ** 4 - 26) / 2.75 / _span_bound(h)
         tau_c = sigma ** 2 / (2.0 * t)
-        assert _gaussian_grid(h, tau_c, t)[3] <= dim * dim
+        assert _gaussian_grid(_span_bound(h), tau_c, t)[3] <= dim * dim
         out = gaussian_average(h, tau_c, rho, t)
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, t)
         assert np.abs(out - expected).max() <= 1e-12
@@ -81,7 +82,7 @@ class TestGaussianAverage:
         rng = np.random.default_rng(0)
         h, rho = random_hermitian(rng, 64), random_density(rng, 64)
         tau_c = 0.5 * (6.12e5 / _span_bound(h)) ** 2
-        assert _gaussian_grid(h, tau_c, 1.0)[3] == 1295
+        assert _gaussian_grid(_span_bound(h), tau_c, 1.0)[3] == 1295
         out = gaussian_average(h, tau_c, rho, 1.0)
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
         assert np.abs(out - expected).max() <= 1e-12
@@ -93,7 +94,7 @@ class TestGaussianAverage:
         rng = np.random.default_rng(3)
         h, rho = drive_with_levels(rng, [0.0, 0.002, 1.0]), random_density(rng, 3)
         tau_c = 0.5 * 500.0 ** 2
-        assert _gaussian_grid(h, tau_c, 1.0)[3] == 41
+        assert _gaussian_grid(_span_bound(h), tau_c, 1.0)[3] == 41
         out = gaussian_average(h, tau_c, rho, 1.0)
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
         assert np.abs(expected - np.diag(np.diag(expected))).max() > 0.1
@@ -103,7 +104,7 @@ class TestGaussianAverage:
     def test_zero_width_is_plain_conjugation(self, tau_c, t):
         rng = np.random.default_rng(4)
         h, rho = random_hermitian(rng, 3), random_density(rng, 3)
-        assert _gaussian_grid(h, tau_c, t)[2:] == (0, 1)
+        assert _gaussian_grid(_span_bound(h), tau_c, t)[2:] == (0, 1)
         u = matrix_exponential(-1j * h, t)
         out = gaussian_average(h, tau_c, rho, t)
         assert np.abs(out - u @ rho @ u.conj().T).max() <= 1e-13
@@ -149,13 +150,26 @@ class TestGaussianAverage:
         # levels 0 and 1, so m = isqrt(2K) + 1 with K = ceil(8.6 (sigma + 8.6) / 2 pi)
         h, rho = np.diag([0.0, 1.0]).astype(np.complex128), np.eye(2) / 2
         tau_c = 0.5 * (2.0 * np.pi * (_GAUSS_MAX_STEPS ** 2 / 2 + 1) / 8.6) ** 2
-        assert _gaussian_grid(h, tau_c, 1.0)[3] == _GAUSS_MAX_STEPS + 1
+        assert _gaussian_grid(_span_bound(h), tau_c, 1.0)[3] == _GAUSS_MAX_STEPS + 1
         with pytest.raises(ValidationError, match=(
                 f"needs {_GAUSS_MAX_STEPS + 1} baby steps, more than its limit "
                 f"_GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}")):
             gaussian_average(h, tau_c, rho, 1.0)
         with pytest.raises(ValidationError, match="needs inf baby steps"):
             gaussian_average(h, 1e308, rho, 1e308)
+
+    @pytest.mark.parametrize("tau_c, t, message", [
+        (0.5 * (2.0 * np.pi * (_GAUSS_MAX_STEPS ** 2 / 2 + 1) / 8.6) ** 2, 1.0,
+         "more than its limit _GAUSS_MAX_STEPS"),
+        (0.0, 1e300, "past its limit _GAUSS_MAX_PHASE"),
+    ], ids=["steps", "phase"])
+    def test_limits_are_refused_before_any_exponential(self, monkeypatch, tau_c, t, message):
+        calls = []
+        monkeypatch.setattr(_kernels, "expm", lambda a: calls.append(a))
+        h, rho = np.diag([0.0, 1.0]).astype(np.complex128), np.eye(2) / 2
+        with pytest.raises(ValidationError, match=message):
+            gaussian_average(h, tau_c, rho, t)
+        assert calls == []
 
     def test_phase_past_the_limit_is_refused(self):
         # span bound 1, so eps * span * t reaches the limit at t = limit / eps

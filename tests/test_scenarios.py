@@ -425,9 +425,10 @@ class TestCustomScenario:
 
     @pytest.mark.parametrize("levels, tau_c, t_max, message", [
         ([0.0, 1.0, 100.0], 1e200, 1e200, "needs inf baby steps"),
-        ([0.0, 1e10], 0.0, 1e300, "1-norm inf"),
-        ([0.0, 1.0], 0.0, 1e300, "overflowed in 997 squarings"),
-    ], ids=["width", "offset", "squarings"])
+        ([0.0, 1e10], 0.0, 1e300, r"phase budget eps \* span \* t = 2.22e\+294"),
+        ([0.0, 1.0], 0.0, 1e300, r"phase budget eps \* span \* t = 2.22e\+284"),
+        ([0.0, 1e300], 0.0, 1.0, r"phase budget eps \* span \* t = 2.22e\+284"),
+    ], ids=["width", "offset", "squarings", "span"])
     def test_overflow_raises_without_a_warning(self, levels, tau_c, t_max, message):
         # RuntimeWarnings are errors in this suite, so one that escaped
         # first would fail the match on ValidationError

@@ -191,6 +191,21 @@ class TestAnalyticEvolve:
         with pytest.raises(ValidationError):
             analytic_evolve(spectrum, maximally_mixed(3), 1.0, 1.0)
 
+    @pytest.mark.parametrize("tau_c", [0.0, 1.0])
+    def test_rejects_overflowing_phases(self, tau_c):
+        # (l - mean l) * t = 5e309 is past the float range; RuntimeWarnings
+        # are errors in this suite, so one that escaped would fail the match
+        with pytest.raises(ValidationError, match="solution overflows at time 1e[+]300$"):
+            analytic_evolve(eigendecompose(np.diag([0.0, 1e10])), np.full((2, 2), 0.5),
+                            tau_c, 1e300)
+
+    def test_decay_past_overflow_is_exactly_zero(self):
+        # tau_c * gap^2 * t = 1e310 overflows, and the coherence is gone
+        rho = np.full((2, 2), 0.5)
+        out = analytic_evolve(eigendecompose(np.diag([0.0, 1.0])), rho, 1e300, 1e10)
+        assert out[0, 1] == 0.0 and out[1, 0] == 0.0
+        np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-15)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("argument", ["tau_c", "t"])
     def test_rejects_non_finite_arguments(self, argument, value):
