@@ -42,11 +42,7 @@ def _weights(projectors: tuple, rho: np.ndarray) -> np.ndarray:
 
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:
     """Probabilities Tr(P_k rho) and the dephased state sum_k P_k rho P_k."""
-    return _predict(spectrum, spectrum.validate_state(rho0, tol), tol)
-
-
-def _predict(spectrum: Spectrum, rho: np.ndarray, tol: Tolerances) -> BornPrediction:
-    """:func:`born_predict` for a state that already passed ``spectrum.validate_state``."""
+    rho = spectrum.validate_state(rho0, tol)
     probabilities = _weights(spectrum.projectors, rho)
     total = float(probabilities.sum())
     if abs(total - 1.0) > tol.trace:

@@ -187,6 +187,8 @@ def _validate_config(config: dict) -> dict:
         missing = _CUSTOM_KEYS - set(block)
         if missing:
             raise UsageError(f"custom block is missing keys: {sorted(missing)}")
+        for key in ("hamiltonian", "rho0"):
+            block[key] = _parse_complex_matrix(block[key], f"custom.{key}")
         block["t_max"] = _require_number(block["t_max"], "custom.t_max")
         if block["t_max"] < 0.0:
             raise UsageError(f"custom.t_max must be >= 0, got {block['t_max']}")
@@ -232,10 +234,8 @@ def _execute(config: dict, tol: Tolerances) -> ScenarioResult:
     scenario = config["scenario"]
     if scenario == "custom":
         block = config["custom"]
-        h = _parse_complex_matrix(block["hamiltonian"], "custom.hamiltonian")
-        rho0 = _parse_complex_matrix(block["rho0"], "custom.rho0")
-        return custom_scenario(h, rho0, config["tau_c"], block["t_max"],
-                               config["grid_points"], tol)
+        return custom_scenario(block["hamiltonian"], block["rho0"], config["tau_c"],
+                               block["t_max"], config["grid_points"], tol)
     pulse = PulseSpec(kappa=config["kappa"], omega1=config["omega1"], tau_c=config["tau_c"])
     if scenario == "single_qubit":
         return single_qubit_scenario(config["theta"], config["phi"], pulse,

@@ -37,7 +37,8 @@ def _span_bound(h: np.ndarray) -> float:
     for the mean eigenvalue c.
     """
     centres = h.diagonal().real
-    with np.errstate(over="ignore"):  # entries near 1e300: min keeps the finite bound
+    # entries near 1e300 overflow a sum (or leave inf - inf): min keeps the finite bound
+    with np.errstate(over="ignore", invalid="ignore"):
         radii = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
         gershgorin = float((centres + radii).max() - (centres - radii).min())
         shifted = h - centres.mean() * np.eye(h.shape[0])
@@ -59,16 +60,16 @@ def _gaussian_grid(span: float, tau_c: float, t: float):
     The nodes are xi = k * step for |k| <= K, step = spacing * sigma, where
     the spacing 2 pi / (span sigma + 8.6) keeps the aliasing margin 8.6 /
     sigma above the span; m = ceil(sqrt(2K + 1)) is the number of baby
-    steps.  A zero width span * sigma (sigma = 0, or a drive c I) gives
+    steps.  The span is > 0; a zero width span * sigma (sigma = 0) gives
     K = 0, m = 1 and step 0; m is inf when the width overflows.
     """
     sigma = math.sqrt(2.0 * tau_c * t)
-    width = span * sigma if span else 0.0
+    width = span * sigma
     if not math.isfinite(width):
         return math.inf, 0.0, 0, math.inf
     spacing = 2.0 * math.pi / (width + _GAUSS_REACH)
     k = math.ceil(_GAUSS_REACH / spacing) if width else 0
-    return (spacing * sigma if k else 0.0), spacing, k, math.isqrt(2 * k) + 1
+    return spacing * sigma, spacing, k, math.isqrt(2 * k) + 1
 
 
 def _unitarize(x: np.ndarray) -> np.ndarray:
@@ -94,14 +95,18 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     The (m, d, d) stack of T_i is its one array that grows with m; the
     Y_j are formed and folded at most d^2 at a time.  When sigma = 0 the
     rule has one node and this is the plain conjugation U(t) rho U(t)^H.
+    A drive of span bound 0 is c I, whose every U(s) is a global phase, so
+    the Hermitian part of rho returns before any check or exponential.
     The result is exactly Hermitian.  Past ``_GAUSS_MAX_STEPS`` baby steps, or
     eps * span * t past ``_GAUSS_MAX_PHASE``, it raises ValidationError before
     any exponential.  A drive not exactly Hermitian is replaced by its Hermitian
     part, as ``spectral.eigendecompose`` does, so the average stays trace-preserving.
     """
-    h = 0.5 * (h + h.conj().T)
+    h = 0.5 * h + 0.5 * h.conj().T  # halves first: entries near 1e308 do not overflow
     d = h.shape[0]
     span = _span_bound(h)
+    if span == 0.0:
+        return 0.5 * rho + 0.5 * rho.conj().T
     step, spacing, k, m = _gaussian_grid(span, tau_c, t)
     if m > _GAUSS_MAX_STEPS:
         raise ValidationError(f"the Gaussian average needs {m} baby steps, more than "

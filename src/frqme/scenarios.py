@@ -1,12 +1,13 @@
-"""Ready-made driven-qubit scenarios and the shared evolution runner.
+"""Ready-made driven-qubit scenarios and the runner they share, ``custom_scenario``.
 
 Each scenario evolves a fixed initial state under a resonant drive for a
 dimensionless pulse area kappa = omega1 * t, sampling a uniform time grid,
 and packages the numeric endpoint, the closed-form endpoint, the
 infinite-time limit and the measurement prediction for later comparison.
 
-The drive is checked once, by ``eigendecompose`` under the run's
-tolerances.  The time series comes from the closed-form eigenbasis
+A run checks each input once, under its tolerances, in order:
+grid_points, t_max, the drive (``eigendecompose``), tau_c, then rho0
+(``born_predict``).  The time series comes from the closed-form eigenbasis
 solution, evaluated on blocks of grid times.  The numeric endpoint, an
 independent check on it that never diagonalises the drive, is the Milburn
 Gaussian average over evolution times (``milburn.gaussian_average``); a
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .born import BornPrediction, _predict
+from .born import BornPrediction, born_predict
 from .milburn import gaussian_average
 from .operators import (
     DEFAULT_TOLS,
@@ -98,20 +99,18 @@ class ScenarioResult:
     time_series: np.ndarray
 
 
-def _run_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int,
-                  tol: Tolerances) -> ScenarioResult:
+def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
+                    tol: Tolerances = DEFAULT_TOLS) -> ScenarioResult:
+    """Run an arbitrary Hermitian drive and initial state through the pipeline."""
     if not (float(grid_points) >= 2 and float(grid_points).is_integer()):
         raise ValidationError(f"grid_points must be an integer >= 2, got {grid_points}")
     grid_points = int(grid_points)
     t_max = _require_nonnegative(t_max, "t_max")
-
-    # the one density-matrix check of rho0; it runs before the drive is checked
-    rho0 = validate_density_matrix(rho0, tol)
     h = as_square_matrix(h)
     spectrum = eigendecompose(h, tol)  # the one hermiticity check of the drive
     tau_c = _require_nonnegative(tau_c, "tau_c")
-    rho0 = spectrum._require_dim(rho0)
-    born = _predict(spectrum, rho0, tol)
+    born = born_predict(spectrum, rho0, tol)  # the one density-matrix check of rho0
+    rho0 = as_square_matrix(rho0)
     cross = spectrum.labels[:, None] != spectrum.labels[None, :]
 
     # The average rejects a Gaussian width past its step limit, so it runs
@@ -153,7 +152,7 @@ def single_qubit_scenario(theta: float, phi: float, pulse: PulseSpec = PulseSpec
     """One qubit at Bloch angles (theta, phi) driven by omega1 * sigma_y / 2."""
     h = 0.5 * pulse.omega1 * SIGMA_Y
     rho0 = pure_density(qubit_state(float(theta), float(phi)), tol)
-    return _run_scenario(h, rho0, pulse.tau_c, pulse.duration, grid_points, tol)
+    return custom_scenario(h, rho0, pulse.tau_c, pulse.duration, grid_points, tol)
 
 
 def two_qubit_scenario(pulse: PulseSpec = PulseSpec(), grid_points: int = 200,
@@ -167,10 +166,4 @@ def two_qubit_scenario(pulse: PulseSpec = PulseSpec(), grid_points: int = 200,
     eye = np.eye(2, dtype=np.complex128)
     h = 0.5 * pulse.omega1 * tensor_product(SIGMA_Y, eye)
     rho0 = pure_density(bell_amplitudes(), tol)
-    return _run_scenario(h, rho0, pulse.tau_c, pulse.duration, grid_points, tol)
-
-
-def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
-                    tol: Tolerances = DEFAULT_TOLS) -> ScenarioResult:
-    """Run an arbitrary Hermitian drive and initial state through the pipeline."""
-    return _run_scenario(h, rho0, tau_c, t_max, grid_points, tol)
+    return custom_scenario(h, rho0, pulse.tau_c, pulse.duration, grid_points, tol)

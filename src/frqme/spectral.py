@@ -62,11 +62,7 @@ class Spectrum:
 
     def validate_state(self, rho0, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         """Check rho0 is a density matrix of the drive's dimension; return it."""
-        return self._require_dim(validate_density_matrix(as_square_matrix(rho0), tol))
-
-    def _require_dim(self, rho) -> np.ndarray:
-        """Check rho is one matrix of the drive's dimension; return it as complex128."""
-        rho = as_square_matrix(rho)
+        rho = validate_density_matrix(as_square_matrix(rho0), tol)
         if rho.shape[0] != self.dim:
             raise ValidationError(f"state dim {rho.shape[0]} differs from drive dim {self.dim}")
         return rho
@@ -78,10 +74,16 @@ def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
     Adjacent eigenvalues closer than tol.degeneracy_threshold(eigenvalues)
     fall into the same group, so exact degeneracies survive roundoff.  A
     drive within tol.herm of Hermitian is replaced by its Hermitian part,
-    the drive the Gaussian average evolves under too.
+    the drive the Gaussian average evolves under too.  A drive whose
+    eigenvalue span or mean overflows the float range raises ValidationError.
     """
     hm = require_hermitian(as_square_matrix(h), tol)
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hm + hm.conj().T))
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * hm + 0.5 * hm.conj().T)
+    with np.errstate(over="ignore"):
+        edges = np.array([eigenvalues[-1] - eigenvalues[0], eigenvalues.mean()])
+    if not np.isfinite(edges).all():
+        raise ValidationError("the eigenvalue span or mean of the drive overflows the "
+                              "float range; scale custom.hamiltonian down")
     threshold = tol.degeneracy_threshold(eigenvalues)
     # a new group starts after every gap wider than the threshold
     starts = (np.flatnonzero(np.diff(eigenvalues) > threshold) + 1).tolist()
@@ -115,14 +117,16 @@ def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closed-form state at time t from the entrywise eigenbasis solution.
 
-    A decay exponent past the float range gives exactly 0; phases past it raise.
+    A decay exponent past the float range gives exactly 0; phases past it
+    raise.  At t = 0 the coefficients stay as they are, even where
+    tau_c D_ij^2 is inf.
     """
     rho = spectrum.validate_state(rho0, tol)
     tau_c = _require_nonnegative(tau_c, "tau_c")
     t = _require_nonnegative(t, "time")
     a0 = to_eigenbasis(spectrum, rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, tau_c, t)
+        at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, tau_c, t) if t else a0
     if not np.isfinite(at).all():
         raise ValidationError(f"the eigenbasis solution overflows at time {t}")
     return from_eigenbasis(spectrum, at)

@@ -37,7 +37,7 @@ from .operators import (
     qubit_state,
     tensor_product,
 )
-from .scenarios import PulseSpec, single_qubit_scenario, two_qubit_scenario
+from .scenarios import PulseSpec, single_qubit_scenario
 from .spectral import (
     analytic_evolve,
     convergence_time,

@@ -296,6 +296,15 @@ class TestEndpointLimits:
         assert "more than its limit _GAUSS_MAX_STEPS = 4096" in capsys.readouterr().err
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("scenario", ["single_qubit", "two_qubit"])
+    def test_pulse_at_the_float_edge_runs(self, tmp_path, scenario):
+        # span omega1 = 1e308 and mean 0 are in range, so the drive is admitted;
+        # with tau_c = 0 nothing decays and the verdict fails
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", f"scenario={scenario}",
+                       "--set", "omega1=1e308", "--set", "tau_c=0") == 3
+        assert read_json(out / "result.json")["comparison"]["verdict"] == "fail"
+
     @staticmethod
     def write_custom(tmp_path, levels, rho0, tau_c, t_max):
         config = tmp_path / "config.json"
@@ -350,11 +359,14 @@ class TestEndpointLimits:
         ([0.0, 1e10], 0.0, 1e300),
         ([0.0, 1.0], 0.0, 1e300),
         ("--set", "omega1=1e300", "--set", "kappa=1e10"),
-    ], ids=["width", "offset", "squarings", "span"])
+        ([1e308, 1e308], 0.0, 1.0),
+        ([1e308, -1e308], 0.0, 1e-300),
+    ], ids=["width", "offset", "squarings", "span", "edge_mean", "edge_span"])
     def test_overflow_exits_without_a_warning(self, tmp_path, case):
         # a subprocess, so that numpy's RuntimeWarnings print as they would
-        # for a user instead of raising; the last case is a qubit drive with
-        # entries near 1e300, whose Frobenius span bound overflows
+        # for a user instead of raising; the "span" case is a qubit drive with
+        # entries near 1e300, whose Frobenius span bound overflows, and the
+        # "edge" drives have an eigenvalue mean or span past the float range
         if case[0] == "--set":
             args = list(case)
         else:
@@ -501,6 +513,14 @@ class TestConfigErrors:
                        "rho0": [[1.0, 0.0], [0.0, 0.0]], "t_max": 1.0},
         }), encoding="utf-8")
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 1
+
+    def test_custom_matrix_error_makes_no_output_directory(self, tmp_path, capsys):
+        # the matrices are parsed with the rest of the config, before --out is made
+        out = tmp_path / "o"
+        assert run_cli("run", "--out", str(out), "--set", "scenario=custom", "--set",
+                       'custom={"hamiltonian": "x", "rho0": [[1]], "t_max": 1}') == 1
+        assert "custom.hamiltonian must be a non-empty list of rows" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cell", [
         {"re": True}, {"re": "0.5"}, {"im": False}, {"im": "0.5"},

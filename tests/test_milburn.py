@@ -119,6 +119,16 @@ class TestGaussianAverage:
         out = gaussian_average(h, tau_c, rho, t)
         assert np.abs(out - rho).max() <= 1e-15
 
+    @pytest.mark.parametrize("h, t", [
+        (0.1 * np.eye(3), 1e300),
+        (np.diag([1e308, 1e308, 1e308]), 1.0),
+    ], ids=["long_time", "float_edge"])
+    def test_span_zero_returns_the_state_before_any_exponential(self, monkeypatch, h, t):
+        # c I only adds a global phase; U(t) alone would overflow in its squarings
+        monkeypatch.setattr(_kernels, "expm", lambda a: pytest.fail("expm was called"))
+        rho = np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.3, 0.1], [0.0, 0.1, 0.2]])
+        np.testing.assert_array_equal(gaussian_average(h, 0.0, rho, t), rho)
+
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(3, 8),
            stiff=st.booleans(), rotated=st.booleans(),

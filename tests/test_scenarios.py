@@ -402,7 +402,7 @@ class TestCustomScenario:
         (np.stack([np.eye(2) / 2] * 3), DimensionMismatchError,
          r"expected a square matrix, got shape \(3, 2, 2\)"),
         (np.ones((2, 3)), DimensionMismatchError,
-         r"expected a square matrix or a stack of them, got shape \(2, 3\)"),
+         r"expected a square matrix, got shape \(2, 3\)"),
     ], ids=["nan", "trace", "negative", "wrong_dim", "stack", "non_square"])
     def test_rejects_bad_initial_state(self, rho0, error, message):
         with pytest.raises(error, match=message):

@@ -80,6 +80,12 @@ class TestEigendecompose:
             with pytest.raises(ValueError):
                 a[0] = 0
 
+    @pytest.mark.parametrize("levels", [[1e308, 1e308], [1e308, -1e308]],
+                             ids=["mean", "span"])
+    def test_rejects_a_drive_whose_span_or_mean_overflows(self, levels):
+        with pytest.raises(ValidationError, match="span or mean of the drive overflows"):
+            eigendecompose(np.diag(levels))
+
     def test_single_qubit_drive_structure(self):
         spectrum = eigendecompose(0.5 * SIGMA_Y)
         np.testing.assert_allclose(spectrum.eigenvalues, [-0.5, 0.5], atol=1e-15)
@@ -121,6 +127,29 @@ def test_grouping_partitions_the_spectrum(seed, gaps):
     np.testing.assert_allclose(sum(spectrum.projectors), np.eye(ev.size), atol=1e-12)
     for p in spectrum.projectors:
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**31 - 1), low=st.floats(-2.0, -1.0),
+       gaps=st.lists(st.floats(0.05, 1.0), max_size=3),
+       multiplicities=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       exponents=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7))
+def test_grouping_is_invariant_under_drive_rescaling(seed, low, gaps, multiplicities,
+                                                     exponents):
+    # Exactly degenerate levels in [-2, 2] with distinct gaps >= 0.05.  The
+    # scale stays within 1e-3..1e3: the threshold degeneracy * (span + 1)
+    # keeps an absolute floor of 1e-9, which merges distinct levels once
+    # s * gap nears it (s near 2e-8 here).
+    levels = np.concatenate(([low], low + np.cumsum(gaps)))
+    diagonal = np.repeat(levels, multiplicities[:levels.size])
+    g = np.random.default_rng(seed).standard_normal((2, diagonal.size, diagonal.size))
+    q, _ = np.linalg.qr(g[0] + 1j * g[1])
+    h = (q * diagonal) @ q.conj().T
+    groups = eigendecompose(h).groups
+    bounds = np.cumsum([0, *multiplicities[:levels.size]])
+    assert groups == tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    for e in exponents:
+        assert eigendecompose(10.0 ** e * h).groups == groups
 
 
 def test_chained_sub_threshold_ladder_is_one_group():
@@ -198,6 +227,12 @@ class TestAnalyticEvolve:
         with pytest.raises(ValidationError, match="solution overflows at time 1e[+]300$"):
             analytic_evolve(eigendecompose(np.diag([0.0, 1e10])), np.full((2, 2), 0.5),
                             tau_c, 1e300)
+
+    def test_time_zero_keeps_the_state_with_an_infinite_decay_exponent(self):
+        # tau_c * gap^2 = 1e320 is inf, and inf * 0 would be nan
+        rho = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+        out = analytic_evolve(eigendecompose(np.diag([0.0, 1e10])), rho, 1e300, 0.0)
+        np.testing.assert_array_equal(out, rho)
 
     def test_decay_past_overflow_is_exactly_zero(self):
         # tau_c * gap^2 * t = 1e310 overflows, and the coherence is gone
