@@ -27,17 +27,17 @@ from .spectral import Spectrum
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BornPrediction:
-    """Outcome probabilities and post-measurement state for one input state."""
+    """Outcome probabilities and post-measurement state; ``projectors`` is the spectrum's."""
 
-    projectors: tuple
+    projectors: np.ndarray
     probabilities: np.ndarray
     post_state: np.ndarray
     group_eigenvalues: np.ndarray
 
 
-def _weights(projectors: tuple, rho: np.ndarray) -> np.ndarray:
-    """Tr(P_k rho) for each projector P_k."""
-    return np.array([np.trace(p @ rho).real for p in projectors], dtype=np.float64)
+def _weights(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(P_k rho) for each projector P_k of the (k, d, d) stack."""
+    return np.trace(projectors @ rho, axis1=-2, axis2=-1).real
 
 
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:

@@ -300,9 +300,11 @@ def _result_document(config: dict, result: ScenarioResult, report) -> dict:
 def _replacing(path: Path):
     """Yield a temp path beside ``path``; move it over ``path`` once the body succeeds.
 
-    A reader never sees a half-written artifact, and a failed write leaves
-    the old file in place and no temp file behind.
+    The directory is made here, so a run that fails before its first
+    artifact leaves none.  A reader never sees a half-written artifact, and
+    a failed write leaves the old file in place and no temp file behind.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
@@ -358,7 +360,6 @@ def _write_csv(path: Path, header, cell_formats, rows) -> None:
 
 def cmd_run(config: dict) -> int:
     out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tol = Tolerances(**config["tolerances"])
     result = _execute(config, tol)
     report = compare_to_prediction(result.final_numeric, result.born, tol,
@@ -402,7 +403,6 @@ def cmd_sweep(config: dict) -> int:
         point_configs.append(_validate_config(point))
 
     out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tol = Tolerances(**config["tolerances"])
     rows = []
     for point in point_configs:

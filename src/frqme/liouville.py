@@ -79,8 +79,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def commutator_superop(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Matrix of rho -> [H, rho] in column-stacked form: I kron H - H^T kron I."""
+    """Matrix of rho -> [(H + H^H)/2, rho], column-stacked: I kron H - H^T kron I."""
     hm = require_hermitian(as_square_matrix(h), tol)
+    hm = 0.5 * hm + 0.5 * hm.conj().T
     eye = np.eye(hm.shape[0], dtype=np.complex128)
     return _kron(eye, hm) - _kron(hm.T, eye)
 

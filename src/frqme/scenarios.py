@@ -67,6 +67,9 @@ class PulseSpec:
         object.__setattr__(self, "omega1", float(self.omega1))
         if not (math.isfinite(self.omega1) and self.omega1 > 0.0):
             raise ValidationError(f"omega1 must be finite and > 0, got {self.omega1}")
+        if not math.isfinite(self.duration):
+            raise ValidationError("the pulse duration kappa / omega1 overflows: "
+                                  f"kappa {self.kappa:g}, omega1 {self.omega1:g}")
         object.__setattr__(self, "tau_c", _require_nonnegative(self.tau_c, "tau_c"))
 
     @property
@@ -132,7 +135,7 @@ def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
             a0, spectrum.eigenvalues, tau_c, rows[:, 0, None, None]
         )
         rows[:, 1] = purity(coeffs, tol)
-        rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1) if cross.any() else 0.0
+        rows[:, 2] = np.abs(coeffs[:, cross]).max(axis=1, initial=0.0)
         rows[:, 3] = trace_distance(coeffs, born_coeffs, tol)
 
     return ScenarioResult(

@@ -38,8 +38,9 @@ class Spectrum:
     runs of (near-)equal eigenvalues, each run ascending and the runs
     ordered by eigenvalue.  ``labels`` maps each eigen-index to its group
     number, ``group_eigenvalues[k]`` is the mean eigenvalue of group k and
-    ``projectors[k]`` projects onto its subspace; these three are computed
-    once by :func:`eigendecompose` and are read-only.
+    ``projectors`` is the (k, d, d) stack whose k-th matrix projects onto
+    group k's subspace; these three are computed once by
+    :func:`eigendecompose` and are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -47,7 +48,7 @@ class Spectrum:
     groups: tuple
     labels: np.ndarray
     group_eigenvalues: np.ndarray
-    projectors: tuple
+    projectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -55,10 +56,7 @@ class Spectrum:
 
     def dephase(self, rho: np.ndarray) -> np.ndarray:
         """The projector sum sum_k P_k rho P_k over the degenerate groups."""
-        out = np.zeros_like(rho)
-        for p in self.projectors:
-            out += p @ rho @ p
-        return out
+        return (self.projectors @ rho @ self.projectors).sum(axis=0)
 
     def validate_state(self, rho0, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         """Check rho0 is a density matrix of the drive's dimension; return it."""
@@ -73,8 +71,8 @@ def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
 
     Adjacent eigenvalues closer than tol.degeneracy_threshold(eigenvalues)
     fall into the same group, so exact degeneracies survive roundoff.  A
-    drive within tol.herm of Hermitian is replaced by its Hermitian part,
-    the drive the Gaussian average evolves under too.  A drive whose
+    drive within tol.herm of Hermitian is replaced by its Hermitian part, as
+    in the Gaussian average and the Liouville oracle.  A drive whose
     eigenvalue span or mean overflows the float range raises ValidationError.
     """
     hm = require_hermitian(as_square_matrix(h), tol)
@@ -85,16 +83,13 @@ def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
         raise ValidationError("the eigenvalue span or mean of the drive overflows the "
                               "float range; scale custom.hamiltonian down")
     threshold = tol.degeneracy_threshold(eigenvalues)
-    # a new group starts after every gap wider than the threshold
-    starts = (np.flatnonzero(np.diff(eigenvalues) > threshold) + 1).tolist()
-    bounds = [0, *starts, eigenvalues.size]
-    spans = list(zip(bounds, bounds[1:]))
-    groups = tuple(tuple(range(a, b)) for a, b in spans)
-    labels = np.repeat(np.arange(len(groups), dtype=np.intp), np.diff(bounds))
-    group_eigenvalues = np.array([np.mean(eigenvalues[a:b]) for a, b in spans])
-    columns = [eigenvectors[:, a:b] for a, b in spans]
-    projectors = tuple(c @ c.conj().T for c in columns)
-    for a in (labels, group_eigenvalues, *projectors):
+    # a group starts after each gap past the threshold; members[k, i]: index i is in group k
+    labels = np.concatenate(([0], np.cumsum(np.diff(eigenvalues) > threshold)))
+    members = labels == np.arange(labels[-1] + 1)[:, None]
+    groups = tuple(tuple(np.flatnonzero(m).tolist()) for m in members)
+    group_eigenvalues = np.array([eigenvalues[m].mean() for m in members])
+    projectors = (eigenvectors * members[:, None, :]) @ eigenvectors.conj().T
+    for a in (labels, group_eigenvalues, projectors):
         a.flags.writeable = False
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=groups,
                     labels=labels, group_eigenvalues=group_eigenvalues,

@@ -384,6 +384,35 @@ class TestEndpointLimits:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestOutputDirectoryOnFailure:
+    SWEEP = ("sweep", "--set", "sweep.parameter=kappa")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--set", "scenario=custom", "--set", "tau_c=0", "--set",
+         'custom={"hamiltonian": [[1e308, 0], [0, -1e308]], "rho0": [[1, 0], [0, 0]], '
+         '"t_max": 1e-300}'),
+        ("run", "--set", "kappa=1e20"),
+        SWEEP + ("--set", "sweep.values=[1e20]"),
+    ], ids=["run_edge_span", "run_width", "sweep_width"])
+    def test_numerical_failure_makes_no_output_directory(self, tmp_path, capsys, argv):
+        # the directory is made with the first artifact, after the run computes
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert "numerical validation failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--set", "kappa=1e308"),
+        SWEEP + ("--set", "sweep.values=[5, 1e308]"),
+    ], ids=["run", "sweep"])
+    def test_overflowing_pulse_duration_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--set", "omega1=1e-10", "--out", str(out)) == 1
+        assert ("error: the pulse duration kappa / omega1 overflows: kappa 1e+308, "
+                "omega1 1e-10") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAtomicArtifacts:
     @staticmethod
     def failing_writer(handle, *args, **kwargs):

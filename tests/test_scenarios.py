@@ -212,6 +212,12 @@ class TestPulseSpec:
                 with pytest.raises(ValidationError, match=f"{field} must be finite and"):
                     PulseSpec(**{field: bad})
 
+    def test_rejects_an_overflowing_duration(self):
+        with pytest.raises(ValidationError, match=r"the pulse duration kappa / omega1 "
+                           r"overflows: kappa 1e\+308, omega1 1e-10"):
+            PulseSpec(kappa=1e308, omega1=1e-10)
+        assert PulseSpec(kappa=1e308, omega1=1.0).duration == 1e308
+
 
 class TestSingleQubitScenario:
     def test_long_pulse_reaches_known_limit(self):
@@ -330,6 +336,18 @@ class TestCustomScenario:
         assert len(result.spectrum.groups) == 1
         np.testing.assert_allclose(result.time_series[:, 2], 0.0, atol=0)
         np.testing.assert_allclose(result.time_series[:, 3], 0.0, atol=1e-12)
+
+    def test_one_group_drive_has_no_cross_group_coherence(self):
+        # a rotated cluster within the degeneracy threshold, over two blocks
+        # of grid times: no coefficient is cross-group, so the column is 0
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        h = (q * [2.0, 2.0 + 1e-12, 2.0 - 1e-12]) @ q.conj().T
+        result = custom_scenario(h, random_density(rng, 3), tau_c=0.5, t_max=10.0,
+                                 grid_points=600)
+        assert result.spectrum.groups == ((0, 1, 2),)
+        assert result.spectrum.projectors.shape == (1, 3, 3)
+        np.testing.assert_array_equal(result.time_series[:, 2], np.zeros(600))
 
     def test_reproduces_builtin_scenario(self):
         theta, phi = 1.2, 0.8

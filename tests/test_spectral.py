@@ -13,6 +13,8 @@ from frqme import (
     ValidationError,
     analytic_evolve,
     asymptotic_state,
+    born_predict,
+    compare_to_prediction,
     convergence_time,
     eigendecompose,
     from_eigenbasis,
@@ -22,7 +24,7 @@ from frqme import (
     to_eigenbasis,
     tensor_product,
 )
-from helpers import maximally_mixed, random_density, random_hermitian
+from helpers import maximally_mixed, random_density, random_hermitian, random_pure_density
 
 
 class TestEigendecompose:
@@ -150,6 +152,37 @@ def test_grouping_is_invariant_under_drive_rescaling(seed, low, gaps, multiplici
     assert groups == tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
     for e in exponents:
         assert eigendecompose(10.0 ** e * h).groups == groups
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**31 - 1),
+       multiplicities=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+       pure=st.booleans())
+def test_projector_stack_matches_the_per_group_products(seed, multiplicities, pure):
+    # forced degeneracies: level k repeated multiplicities[k] times, d <= 8
+    rng = np.random.default_rng(seed)
+    diagonal = np.repeat(np.arange(len(multiplicities), dtype=float), multiplicities)[:8]
+    d = diagonal.size
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    spectrum = eigendecompose((q * diagonal) @ q.conj().T)
+    rho = (random_pure_density if pure else random_density)(rng, d)
+    v, p = spectrum.eigenvectors, spectrum.projectors
+    assert isinstance(p, np.ndarray) and p.shape == (len(spectrum.groups), d, d)
+    assert not p.flags.writeable
+    for k, members in enumerate(spectrum.groups):
+        columns = v[:, list(members)]
+        np.testing.assert_allclose(p[k], columns @ columns.conj().T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(spectrum.dephase(rho), sum(pk @ rho @ pk for pk in p),
+                               rtol=0, atol=1e-15)
+    prediction = born_predict(spectrum, rho)
+    assert prediction.projectors is spectrum.projectors
+    traces = np.array([np.trace(pk @ rho).real for pk in p])
+    weights = [row[1] for row in compare_to_prediction(rho, prediction).probability_table]
+    np.testing.assert_allclose(weights, traces, rtol=0, atol=1e-15)
+    # born_predict clips the weights to [0, 1] and renormalises them
+    clipped = np.clip(traces, 0.0, 1.0)
+    np.testing.assert_allclose(prediction.probabilities, clipped / clipped.sum(),
+                               rtol=0, atol=1e-15)
 
 
 def test_chained_sub_threshold_ladder_is_one_group():
