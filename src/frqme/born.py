@@ -36,8 +36,8 @@ class BornPrediction:
 
 
 def _weights(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr(P_k rho) for each projector P_k of the (k, d, d) stack."""
-    return np.trace(projectors @ rho, axis1=-2, axis2=-1).real
+    """Tr(P_k rho) for each P_k of the (k, d, d) stack, in O(k d^2) with no P_k rho product."""
+    return np.einsum("kij,ji->k", projectors, rho).real
 
 
 def born_predict(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> BornPrediction:

@@ -46,8 +46,8 @@ from .operators import (
 # A batch's stack of scaled generators stays within this many bytes (3
 # samples at d = 6), so the stacked exponential's working set stays small.
 _BATCH_BYTES = 64 * 1024
-# The largest generator propagate builds: d = 32 takes 16 MiB (and its
-# exponential about 14 times that); d = 64 would take 268 MB.
+# The largest generator propagate builds (d = 32 takes 16 MiB, its exponential
+# about 14 times that; d = 64 would take 268 MB), and the largest run series.
 _MAX_GENERATOR_BYTES = 32 * 1024 * 1024
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .born import BornPrediction, born_predict
+from .liouville import _MAX_GENERATOR_BYTES
 from .milburn import gaussian_average
 from .operators import (
     DEFAULT_TOLS,
@@ -105,9 +106,13 @@ class ScenarioResult:
 def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
                     tol: Tolerances = DEFAULT_TOLS) -> ScenarioResult:
     """Run an arbitrary Hermitian drive and initial state through the pipeline."""
-    if not (float(grid_points) >= 2 and float(grid_points).is_integer()):
+    if not (grid_points >= 2 and grid_points % 1 == 0):  # no float(): 10**400 is refused below
         raise ValidationError(f"grid_points must be an integer >= 2, got {grid_points}")
     grid_points = int(grid_points)
+    # a series shares propagate's one-array byte budget: 1048576 points of four float64s
+    if (size := 8 * len(TIME_SERIES_COLUMNS) * grid_points) > _MAX_GENERATOR_BYTES:
+        raise ValidationError(f"grid_points {grid_points} needs a {size}-byte series, past "
+                              f"the {_MAX_GENERATOR_BYTES}-byte limit")
     t_max = _require_nonnegative(t_max, "t_max")
     h = as_square_matrix(h)
     spectrum = eigendecompose(h, tol)  # the one hermiticity check of the drive
@@ -125,6 +130,7 @@ def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
     # Purity and trace distance are unitarily invariant, so they are taken
     # on the coefficients directly.
     a0 = to_eigenbasis(spectrum, rho0)
+    # not a0 * same: its tiny decayed entries made trace_distance 2x slower at d = 64 (ROADMAP 4)
     born_coeffs = to_eigenbasis(spectrum, born.post_state)
 
     series = np.empty((grid_points, len(TIME_SERIES_COLUMNS)), dtype=np.float64)

@@ -40,7 +40,8 @@ class Spectrum:
     number, ``group_eigenvalues[k]`` is the mean eigenvalue of group k and
     ``projectors`` is the (k, d, d) stack whose k-th matrix projects onto
     group k's subspace; these three are computed once by
-    :func:`eigendecompose` and are read-only.
+    :func:`eigendecompose` and are read-only.  No run multiplies a state by
+    the stack; ``verify`` sums P_k rho P_k as the oracle of :meth:`dephase`.
     """
 
     eigenvalues: np.ndarray
@@ -55,8 +56,9 @@ class Spectrum:
         return self.eigenvectors.shape[0]
 
     def dephase(self, rho: np.ndarray) -> np.ndarray:
-        """The projector sum sum_k P_k rho P_k over the degenerate groups."""
-        return (self.projectors @ rho @ self.projectors).sum(axis=0)
+        """sum_k P_k rho P_k as V (a * same) V^H: a = V^H rho V, cross-group entries zeroed."""
+        same = self.labels[:, None] == self.labels[None, :]
+        return from_eigenbasis(self, to_eigenbasis(self, rho) * same)
 
     def validate_state(self, rho0, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         """Check rho0 is a density matrix of the drive's dimension; return it."""

@@ -8,7 +8,7 @@ human-readable report.  The first four checks also carry runtime budgets.
 import numpy as np
 import pytest
 
-from frqme import GeneratorSpec, scenarios, verify
+from frqme import GeneratorSpec, Spectrum, born, scenarios, verify
 from frqme.verify import run_checks
 
 
@@ -92,6 +92,25 @@ def test_broken_liouville_oracle_fails_every_check_it_feeds(monkeypatch):
         "single_qubit_asymptotic", "single_qubit_finite_pulse",
         "two_qubit_pulse_oracles", "born_equivalence_random"]
     assert {result.kind for result in failed} == {"comparison"}
+
+
+def test_broken_dephasing_fails_born_equivalence(monkeypatch):
+    # a post-state that keeps the cross-group coefficients is caught by the
+    # check that compares it with the projector sum
+    monkeypatch.setattr(Spectrum, "dephase", lambda self, rho: rho)
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["born_equivalence_random"]
+    assert failed[0].kind == "comparison"
+
+
+def test_reversed_weights_fail_born_probability_formulas(monkeypatch):
+    # outcome weights assigned to the wrong groups are caught by the closed
+    # form of the single-qubit probabilities
+    weights = born._weights
+    monkeypatch.setattr(born, "_weights", lambda projectors, rho: weights(projectors, rho)[::-1])
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["born_probability_formulas"]
+    assert failed[0].kind == "comparison"
 
 
 def test_superop_from_action_matches_the_column_stacking_formula():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,22 @@ class TestOutputDirectoryOnFailure:
         assert run_cli(*argv, "--out", str(out)) == 2
         assert "numerical validation failure" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("points", [10 ** 11, 10 ** 400], ids=["1e11", "past_float"])
+    def test_oversized_series_is_refused_before_any_work(self, tmp_path, capsys, points):
+        # 1e11 points would take 3.2 TB; the run is refused before the drive is diagonalized
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = run_cli("run", "--set", f"grid_points={points}", "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert (f"grid_points {points} needs a {32 * points}-byte series, past the "
+                "33554432-byte limit") in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 1024 * 1024
 
     @pytest.mark.parametrize("argv", [
         ("run", "--set", "kappa=1e308"),

@@ -437,6 +437,16 @@ class TestCustomScenario:
             custom_scenario(np.diag([0.0, 1.0]), maximally_mixed(2), 1.0, 1.0,
                             grid_points=grid_points)
 
+    def test_series_past_32_mib_is_refused_before_the_drive(self):
+        # 32 bytes a point: 1048576 points are admitted (the bad t_max is
+        # reported next), one more is refused before t_max and the drive
+        drive, rho = np.array([[0.0, 1.0], [0.0, 0.0]]), maximally_mixed(2)
+        with pytest.raises(ValidationError, match="t_max must be finite and >= 0"):
+            custom_scenario(drive, rho, 1.0, -1.0, grid_points=1048576)
+        with pytest.raises(ValidationError, match="grid_points 1048577 needs a 33554464-byte "
+                                                  "series, past the 33554432-byte limit"):
+            custom_scenario(drive, rho, 1.0, -1.0, grid_points=1048577)
+
     def test_width_past_the_limit_is_refused(self):
         with pytest.raises(ValidationError, match="more than its limit _GAUSS_MAX_STEPS = 4096"):
             single_qubit_scenario(0.3, 0.2, PulseSpec(kappa=1e20), grid_points=3)
