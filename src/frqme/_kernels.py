@@ -4,8 +4,8 @@
   matrix or an (n, d, d) stack, for the d x d unitaries of the Gaussian
   average and for the Liouville propagators, a batch at a time
 * ``propagate_grid``      -- repeated application of one step propagator
-* ``evolve_coefficients`` -- the entrywise eigenbasis solution
-  ``a_ij(0) exp((-i D_ij - tau_c D_ij^2) t)`` with ``D_ij = l_i - l_j``
+* ``evolve_coefficients`` -- the closed form ``a_ij(0) exp((-i D_ij - tau_c
+  D_ij^2) t)``, D_ij = l_i - l_j, and its one set of float-range rules
 
 The matrices handled here are small: Hilbert dimension up to about 64, and
 Liouville dimension d^2 only where the Liouville exponential still runs
@@ -94,8 +94,15 @@ def evolve_coefficients(a0, eigenvalues, tau_c, t):
 
     Each level's phase exp(-i (lam - mean lam) t) is rounded once, so a rank-1
     ``a0`` stays rank-1 at any t.  ``t`` is a scalar for one (d, d) result, or
-    an (n, 1, 1) array of times for an (n, d, d) stack.
+    an (n, 1, 1) array of times for an (n, d, d) stack.  The float-range rules,
+    with no numpy warning: at t = 0 every coefficient keeps its value, even
+    where tau_c dl^2 overflows; a decay exponent past the range gives exactly
+    0; a phase past it raises ValidationError, naming the largest time.
     """
     dl = eigenvalues[:, None] - eigenvalues[None, :]
-    p = np.exp(-1j * (eigenvalues - eigenvalues.mean())[:, None] * t)  # (d, 1) or (n, d, 1)
-    return a0 * (p * np.swapaxes(p, -1, -2).conj()) * np.exp(-tau_c * dl * dl * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # exponent capped: inf * 0 is nan
+        p = np.exp(-1j * (eigenvalues - eigenvalues.mean())[:, None] * t)  # (d, 1) or (n, d, 1)
+        if not np.isfinite(p).all():
+            raise ValidationError(f"the eigenbasis solution overflows at time {np.max(t)}")
+        decay = np.exp(np.maximum(-tau_c * dl * dl, -np.finfo(np.float64).max) * t)
+    return a0 * (p * np.swapaxes(p, -1, -2).conj()) * decay

@@ -121,8 +121,8 @@ def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
     rho0 = as_square_matrix(rho0)
     cross = spectrum.labels[:, None] != spectrum.labels[None, :]
 
-    # The average rejects a Gaussian width past its step limit, so it runs
-    # before the series, whose exponent would overflow at such a width.
+    # The average refuses a width or phase past its limits, so a run it
+    # refuses fails before the series work.
     final_numeric = validate_density_matrix(
         gaussian_average(h, tau_c, rho0, t_max), tol)
 

@@ -112,21 +112,12 @@ def from_eigenbasis(spectrum: Spectrum, coeffs) -> np.ndarray:
 
 def analytic_evolve(spectrum: Spectrum, rho0, tau_c: float, t: float,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Closed-form state at time t from the entrywise eigenbasis solution.
-
-    A decay exponent past the float range gives exactly 0; phases past it
-    raise.  At t = 0 the coefficients stay as they are, even where
-    tau_c D_ij^2 is inf.
-    """
+    """Closed-form state at time t, under ``_kernels.evolve_coefficients``'s float-range rules."""
     rho = spectrum.validate_state(rho0, tol)
     tau_c = _require_nonnegative(tau_c, "tau_c")
     t = _require_nonnegative(t, "time")
-    a0 = to_eigenbasis(spectrum, rho)
-    with np.errstate(over="ignore", invalid="ignore"):
-        at = _kernels.evolve_coefficients(a0, spectrum.eigenvalues, tau_c, t) if t else a0
-    if not np.isfinite(at).all():
-        raise ValidationError(f"the eigenbasis solution overflows at time {t}")
-    return from_eigenbasis(spectrum, at)
+    a = _kernels.evolve_coefficients(to_eigenbasis(spectrum, rho), spectrum.eigenvalues, tau_c, t)
+    return from_eigenbasis(spectrum, a)
 
 
 def asymptotic_state(spectrum: Spectrum, rho0, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -143,12 +134,14 @@ def convergence_time(spectrum: Spectrum, tau_c: float, eps: float) -> float:
     """Time for every cross-group coefficient to shrink by a factor eps.
 
     Solves exp(-tau_c gap^2 t) = eps for the smallest cross-group gap.
-    Returns inf when nothing decays: a fully degenerate drive or tau_c = 0.
+    Returns inf when nothing decays: a fully degenerate drive, or a rate
+    tau_c gap^2 of 0 (tau_c = 0, or a product below the float range).
     """
     if not (0.0 < float(eps) < 1.0):
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     tau_c = _require_nonnegative(tau_c, "tau_c")
-    if len(spectrum.groups) < 2 or tau_c == 0.0:
+    if len(spectrum.groups) < 2:
         return math.inf
     gap = float(np.diff(spectrum.group_eigenvalues).min())
-    return -math.log(float(eps)) / (tau_c * gap * gap)
+    rate = tau_c * gap * gap  # not gap ** 2, which raises OverflowError at gap = 1e308
+    return -math.log(float(eps)) / rate if rate else math.inf

@@ -307,6 +307,45 @@ class TestEndpointLimits:
         assert read_json(out / "result.json")["comparison"]["verdict"] == "fail"
 
     @staticmethod
+    def nothing_decayed(out):
+        """Check the run in ``out`` wrote a finite series and verdict fail; return its result."""
+        series = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(series).all()
+        doc = read_json(out / "result.json")
+        assert doc["comparison"]["verdict"] == "fail"
+        return doc
+
+    @pytest.mark.parametrize("argv", [
+        ("--set", "scenario=two_qubit", "--set", "kappa=0", "--set", "omega1=1e200"),
+        ("--set", "kappa=0", "--set", "omega1=10", "--set", "tau_c=1e307"),
+    ], ids=["strong_drive", "overflowing_rate"])
+    def test_zero_length_pulse_keeps_the_state(self, tmp_path, capsys, argv):
+        # tau_c * omega1^2 overflows at t = 0, where nothing has decayed; the
+        # series used to turn inf * 0 into nan and exit 2 after two warnings
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), *argv) == 3
+        assert capsys.readouterr().err == ""
+        matrices = self.nothing_decayed(out)["matrices"]
+        np.testing.assert_allclose(as_complex_matrix(matrices["final_analytic"]),
+                                   as_complex_matrix(matrices["initial"]), rtol=0, atol=1e-15)
+
+    def test_rate_below_the_float_range_decays_nothing(self, tmp_path, capsys):
+        # tau_c * omega1^2 = 5e-324 * 0.25 rounds to 0, so the run is the
+        # tau_c = 0 run; the decay horizon used to divide by that 0
+        out, reference = tmp_path / "out", tmp_path / "reference"
+        assert run_cli("run", "--out", str(out), "--set", "tau_c=5e-324",
+                       "--set", "omega1=0.5") == 3
+        assert capsys.readouterr().err == ""
+        doc = self.nothing_decayed(out)
+        assert doc["convergence_time"] is None
+        assert run_cli("run", "--out", str(reference), "--set", "tau_c=0",
+                       "--set", "omega1=0.5") == 3
+        assert doc["matrices"]["final_analytic"] == read_json(
+            reference / "result.json")["matrices"]["final_analytic"]
+        assert ((out / "timeseries.csv").read_bytes()
+                == (reference / "timeseries.csv").read_bytes())
+
+    @staticmethod
     def write_custom(tmp_path, levels, rho0, tau_c, t_max):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -278,6 +278,24 @@ def test_evolve_coefficients_diagonal_is_invariant():
     np.testing.assert_allclose(np.diagonal(out), np.diagonal(a0), rtol=0, atol=1e-15)
 
 
+def test_evolve_coefficients_float_range_rules():
+    # tau_c * 10^2 = 1e309 is inf: at t = 0 nothing has decayed, and from
+    # t = 1e-300 on every cross-group coefficient is exactly gone; RuntimeWarnings
+    # are errors in this suite, so one that escaped would fail the test
+    a0 = random_complex(np.random.default_rng(5), 3)
+    eigenvalues = np.array([0.0, 0.0, 10.0])
+    times = np.array([0.0, 1e-300, 1.0])[:, None, None]
+    stack = _kernels.evolve_coefficients(a0, eigenvalues, 1e307, times)
+    np.testing.assert_array_equal(stack[0], a0)
+    cross = eigenvalues[:, None] != eigenvalues[None, :]
+    assert (stack[1:, cross] == 0.0).all()
+    np.testing.assert_allclose(stack[1:, ~cross], np.broadcast_to(a0[~cross], (2, 5)),
+                               rtol=1e-15, atol=0)
+    # (10 - 10/3) * 1e308 overflows the phase; the message names the largest time
+    with pytest.raises(ValidationError, match=r"solution overflows at time 1e\+308$"):
+        _kernels.evolve_coefficients(a0, eigenvalues, 0.0, times * 1e308)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(3, 8), log_width=st.floats(6.0, 12.0))
 @example(seed=0, dim=3, log_width=8.0)

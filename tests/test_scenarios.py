@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frqme import (
@@ -521,3 +521,35 @@ def test_custom_scenario_endpoints_always_agree(seed, dim, tau_c, t_max):
                              tau_c, t_max, grid_points=7)
     np.testing.assert_allclose(result.final_numeric, result.final_analytic, atol=1e-10)
     assert np.trace(result.final_numeric).real == pytest.approx(1.0, abs=1e-11)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 8), log_span=st.floats(-3.0, 200.0),
+       tau_c=st.sampled_from([0.0, 5e-324, 1.0, 1e307]),
+       t_max=st.sampled_from([0.0, 1e-300, 0.5]))
+@example(seed=1, dim=4, log_span=200.0, tau_c=1.0, t_max=0.0)
+@example(seed=2, dim=3, log_span=1.0, tau_c=1e307, t_max=0.0)
+@example(seed=3, dim=2, log_span=0.0, tau_c=5e-324, t_max=0.5)
+def test_custom_scenario_has_one_closed_form_at_the_float_edges(seed, dim, log_span, tau_c,
+                                                                 t_max):
+    # spans up to 1e200 with degenerate levels, rates from 0 to past the
+    # float range: a run is refused with ValidationError only (a RuntimeWarning
+    # is an error in this suite), and an admitted run ends bit for bit on
+    # analytic_evolve and starts on rho0's purity, coherence and distance
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    h = (u * (0.5 * rng.integers(0, 3, dim) * 10.0 ** log_span)) @ u.conj().T
+    rho = random_density(rng, dim)
+    try:
+        result = custom_scenario(0.5 * (h + h.conj().T), rho, tau_c, t_max, grid_points=3)
+    except ValidationError:
+        return
+    spectrum = result.spectrum
+    np.testing.assert_array_equal(result.final_analytic,
+                                  analytic_evolve(spectrum, rho, tau_c, t_max))
+    a0 = to_eigenbasis(spectrum, rho)
+    cross = spectrum.labels[:, None] != spectrum.labels[None, :]
+    born_coeffs = to_eigenbasis(spectrum, result.born.post_state)
+    np.testing.assert_array_equal(
+        result.time_series[0, 1:],
+        [purity(a0), np.abs(a0[cross]).max(initial=0.0), trace_distance(a0, born_coeffs)])
