@@ -50,11 +50,15 @@ from .spectral import convergence_time
 from .verify import run_checks
 
 SCENARIOS = ("single_qubit", "two_qubit", "custom")
-SWEEP_PARAMETERS = ("kappa", "tau_c", "omega1", "theta", "phi")
-ANGLE_SWEEPS = ("theta", "phi")
-_TOLERANCE_KEYS = tuple(field.name for field in dataclasses.fields(Tolerances))
-_CUSTOM_KEYS = frozenset({"hamiltonian", "rho0", "t_max"})
-_SWEEP_KEYS = frozenset({"parameter", "values"})
+# Each nested block's keys; where a block is read, it holds no other key.
+_BLOCKS = {
+    "tolerances": tuple(dataclasses.asdict(DEFAULT_TOLS)),
+    "custom": ("hamiltonian", "rho0", "t_max"),
+    "sweep": ("parameter", "values"),
+}
+# Each sweepable parameter and the scenarios it applies to; a custom run sweeps none.
+_SWEEPS = {**dict.fromkeys(("kappa", "tau_c", "omega1"), ("single_qubit", "two_qubit")),
+           "theta": ("single_qubit",), "phi": ("single_qubit",)}
 # 17 significant digits round-trip every float64.
 _FLOAT_CELL = "%.17g"
 
@@ -83,9 +87,6 @@ def default_config() -> dict:
     }
 
 
-_TOP_LEVEL_KEYS = frozenset(default_config()) | {"custom", "sweep"}
-
-
 def _merge(base: dict, override: dict) -> dict:
     """Merge override into base in place (nested dicts key by key); return base."""
     for key, value in override.items():
@@ -105,128 +106,98 @@ def _apply_set(config: dict, assignment: str) -> None:
     except json.JSONDecodeError:
         value = raw
     node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    *path, last = key.split(".")
+    for part in path:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[last] = value
 
 
-def _to_float(value, name: str) -> float:
-    """A JSON number as a float; an integer past the float range is a UsageError."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise UsageError(f"{name} is an integer too large for a float") from None
-
-
-def _require_number(value, name: str) -> float:
-    """A present, non-bool, finite JSON number as a float, or UsageError."""
+def _number(value, name: str, finite: bool = True) -> float:
+    """A non-bool JSON number as a float, finite unless ``finite`` is False, or UsageError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{name} must be a number, got {value!r}")
-    value = _to_float(value, name)
-    if not math.isfinite(value):
+    try:
+        value = float(value)
+    except OverflowError:
+        raise UsageError(f"{name} is an integer too large for a float") from None
+    if finite and not math.isfinite(value):
         raise UsageError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _reject_unknown(block: dict, allowed, what: str) -> None:
-    if unknown := set(block) - set(allowed):
-        raise UsageError(f"unknown {what} keys: {sorted(unknown)}")
+def _block(config: dict, key: str, required: bool) -> dict:
+    """``config[key]``, an object with only ``_BLOCKS[key]``'s keys, all of them if required."""
+    block, keys = config.get(key), _BLOCKS[key]
+    if not isinstance(block, dict):
+        raise UsageError(f"{key} must be an object with keys {list(keys)}, got {block!r}")
+    if unknown := set(block).difference(keys):
+        raise UsageError(f"unknown {key} keys: {sorted(unknown)}")
+    if required and (missing := set(keys).difference(block)):
+        raise UsageError(f"{key} block is missing keys: {sorted(missing)}")
+    return block
 
 
 def _validate_config(config: dict) -> dict:
-    _reject_unknown(config, _TOP_LEVEL_KEYS, "configuration")
+    if unknown := set(config).difference(default_config(), _BLOCKS):
+        raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
     scenario = config.get("scenario")
     if scenario not in SCENARIOS:
         raise UsageError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    for key in ("theta", "phi", "compare_tol", "kappa", "omega1", "tau_c"):
-        config[key] = _require_number(config.get(key), key)
-    if config["compare_tol"] < 0.0:
-        raise UsageError(f"compare_tol must be >= 0, got {config['compare_tol']}")
-    # the ranges are PulseSpec's, checked for every scenario
+    for key in ("theta", "phi", "kappa", "omega1", "tau_c", "eps_converge", "compare_tol"):
+        config[key] = _number(config.get(key), key)
+    # every tolerance is required: Tolerances would fill a missing one from its default
+    tols = _block(config, "tolerances", required=True)
+    for key, value in tols.items():
+        tols[key] = _number(value, f"tolerances.{key}")
+    # the ranges are PulseSpec's, checked for every scenario, and Tolerances'
     try:
         PulseSpec(config["kappa"], config["omega1"], config["tau_c"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-    grid_points = config.get("grid_points")
-    if isinstance(grid_points, bool) or not isinstance(grid_points, int) or grid_points < 2:
-        raise UsageError(f"grid_points must be an integer >= 2, got {grid_points!r}")
-
-    eps = _require_number(config.get("eps_converge"), "eps_converge")
-    if not (0.0 < eps < 1.0):
-        raise UsageError(f"eps_converge must lie in (0, 1), got {eps}")
-    config["eps_converge"] = eps
-
-    if not isinstance(config.get("out"), str) or not config["out"]:
-        raise UsageError(f"out must be a non-empty path, got {config.get('out')!r}")
-
-    tols = config.get("tolerances")
-    if not isinstance(tols, dict):
-        raise UsageError(f"tolerances must be an object, got {tols!r}")
-    _reject_unknown(tols, _TOLERANCE_KEYS, "tolerance")
-    # every key is required: Tolerances would fill a missing one from its default
-    for key in _TOLERANCE_KEYS:
-        tols[key] = _require_number(tols.get(key), f"tolerances.{key}")
-    try:
         Tolerances(**tols)
     except ValueError as exc:
         raise UsageError(str(exc))
 
+    if type(config.get("grid_points")) is not int or config["grid_points"] < 2:  # no bool
+        raise UsageError(f"grid_points must be an integer >= 2, got {config.get('grid_points')!r}")
+    if not (0.0 < config["eps_converge"] < 1.0):
+        raise UsageError(f"eps_converge must lie in (0, 1), got {config['eps_converge']}")
+    if config["compare_tol"] < 0.0:
+        raise UsageError(f"compare_tol must be >= 0, got {config['compare_tol']}")
+    if not isinstance(config.get("out"), str) or not config["out"]:
+        raise UsageError(f"out must be a non-empty path, got {config.get('out')!r}")
+
     if scenario == "custom":
-        block = config.get("custom")
-        if not isinstance(block, dict):
-            raise UsageError("custom scenario requires a 'custom' object with "
-                             "hamiltonian, rho0 and t_max")
-        _reject_unknown(block, _CUSTOM_KEYS, "custom")
-        missing = _CUSTOM_KEYS - set(block)
-        if missing:
-            raise UsageError(f"custom block is missing keys: {sorted(missing)}")
+        block = _block(config, "custom", required=True)
         for key in ("hamiltonian", "rho0"):
             block[key] = _parse_complex_matrix(block[key], f"custom.{key}")
-        block["t_max"] = _require_number(block["t_max"], "custom.t_max")
+        block["t_max"] = _number(block["t_max"], "custom.t_max")
         if block["t_max"] < 0.0:
             raise UsageError(f"custom.t_max must be >= 0, got {block['t_max']}")
-
-    sweep = config.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise UsageError(f"sweep must be an object, got {sweep!r}")
-        _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
+    if config.get("sweep") is not None:
+        _block(config, "sweep", required=False)
     return config
 
 
 def _parse_complex_matrix(node, name: str) -> np.ndarray:
     if not isinstance(node, list) or not node or not all(isinstance(r, list) for r in node):
         raise UsageError(f"{name} must be a non-empty list of rows")
-
-    def part(value, cell) -> float:
-        # a non-bool JSON number; a non-finite one fails validation later
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"{name} entry {cell!r} is not numeric")
-        return _to_float(value, f"{name} entry")
-
-    rows = []
-    for row in node:
-        parsed = []
-        for cell in row:
-            if isinstance(cell, dict):
-                extra = set(cell) - {"re", "im"}
-                if extra:
-                    raise UsageError(f"{name} entries allow only 're' and 'im', got {sorted(extra)}")
-                parsed.append(complex(part(cell.get("re", 0.0), cell),
-                                      part(cell.get("im", 0.0), cell)))
-            else:
-                parsed.append(complex(part(cell, cell), 0.0))
-        rows.append(parsed)
-    if any(len(r) != len(rows) for r in rows):
-        raise UsageError(f"{name} must be square, got row lengths {[len(r) for r in rows]}")
-    return np.array(rows, dtype=np.complex128)
+    if any(len(r) != len(node) for r in node):
+        raise UsageError(f"{name} must be square, got row lengths {[len(r) for r in node]}")
+    cells = [cell for row in node for cell in row]
+    entries = [cell if isinstance(cell, dict) else {"re": cell} for cell in cells]
+    if extra := set().union(*entries).difference(("re", "im")):
+        raise UsageError(f"{name} entries allow only 're' and 'im', got {sorted(extra)}")
+    parts = [(entry.get("re", 0.0), entry.get("im", 0.0)) for entry in entries]
+    if {type(x) for pair in parts for x in pair} - {int, float}:  # exact: type(True) is bool
+        cell = next(c for c, pair in zip(cells, parts) if {*map(type, pair)} - {int, float})
+        raise UsageError(f"{name} entry {cell!r} is not numeric")
+    try:  # a NaN part is kept: it fails validation later, with exit 2
+        values = np.array(parts, dtype=np.float64)
+    except OverflowError:  # part by part, so that _number names the int past the float range
+        values = np.array([[_number(x, f"{name} entry", finite=False) for x in p] for p in parts])
+    return values.view(np.complex128).reshape(len(node), len(node))
 
 
 def _execute(config: dict, tol: Tolerances) -> ScenarioResult:
@@ -381,25 +352,18 @@ def cmd_run(config: dict) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
-    sweep = config.get("sweep")
-    if not isinstance(sweep, dict):
-        raise UsageError("sweep requires a 'sweep' object with 'parameter' and 'values'")
-    parameter = sweep.get("parameter")
-    if parameter not in SWEEP_PARAMETERS:
-        raise UsageError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
-    if config["scenario"] == "custom":
-        raise UsageError("custom scenarios cannot be swept")
-    if parameter in ANGLE_SWEEPS and config["scenario"] != "single_qubit":
-        raise UsageError(f"sweep parameter {parameter!r} applies only to the "
-                         f"single_qubit scenario")
-    values = sweep.get("values")
+    sweep = _block(config, "sweep", required=True)
+    parameter, values = sweep["parameter"], sweep["values"]
+    sweepable = [p for p, scenarios in _SWEEPS.items() if config["scenario"] in scenarios]
+    if parameter not in sweepable:
+        raise UsageError(f"sweep parameter must be one of {sweepable} for the "
+                         f"{config['scenario']} scenario, got {parameter!r}")
     if not isinstance(values, list):
         raise UsageError(f"sweep values must be a list, got {values!r}")
     point_configs = []
     for value in values:
-        point = copy.deepcopy(config)
-        point.pop("sweep", None)
-        point[parameter] = value
+        # sweep.csv reads only each point's endpoints, so its series needs no more samples
+        point = copy.deepcopy({**config, parameter: value, "grid_points": 2, "sweep": None})
         point_configs.append(_validate_config(point))
 
     out_dir = Path(config["out"])

@@ -45,8 +45,9 @@ from .spectral import Spectrum, eigendecompose, from_eigenbasis, to_eigenbasis
 
 TIME_SERIES_COLUMNS = ("t", "purity", "max_cross_group_coherence", "trace_distance_to_born")
 
-# Grid times per closed-form block: bounds the (block, d, d) temporaries,
-# since holding a whole fine grid at once raises peak memory for no speed.
+# Most grid times per closed-form block: holding a whole fine grid at once
+# raises peak memory for no speed.  Past d = 64 a block is fewer rows, so that
+# each (block, d, d) complex temporary stays within _MAX_GENERATOR_BYTES.
 _BLOCK = 512
 
 
@@ -135,8 +136,9 @@ def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
 
     series = np.empty((grid_points, len(TIME_SERIES_COLUMNS)), dtype=np.float64)
     series[:, 0] = np.linspace(0.0, t_max, grid_points)
-    for start in range(0, grid_points, _BLOCK):
-        rows = series[start:start + _BLOCK]
+    block = max(1, min(_BLOCK, _MAX_GENERATOR_BYTES // (16 * a0.size)))
+    for start in range(0, grid_points, block):
+        rows = series[start:start + block]
         coeffs = _kernels.evolve_coefficients(
             a0, spectrum.eigenvalues, tau_c, rows[:, 0, None, None]
         )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frqme import PulseSpec, Tolerances, compare_to_prediction, single_qubit_scenario
+from frqme import PulseSpec, Tolerances, _kernels, compare_to_prediction, single_qubit_scenario
 from frqme.cli import (
     _FLOAT_CELL,
     _execute,
@@ -566,9 +566,14 @@ class TestConfigErrors:
     def test_bad_set_syntax(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--set", "kappa") == 1
 
-    def test_non_integer_grid(self, tmp_path):
-        assert run_cli("run", "--out", str(tmp_path), "--set", "grid_points=2.5") == 1
-        assert run_cli("run", "--out", str(tmp_path), "--set", "grid_points=1") == 1
+    # a sweep runs its points at two grid times, but its own grid_points is still checked
+    @pytest.mark.parametrize("command", [("run",), ("sweep", "--set", "sweep.parameter=kappa",
+                                                    "--set", "sweep.values=[1]")])
+    @pytest.mark.parametrize("points", ["2.5", "1", "true"])
+    def test_non_integer_grid(self, tmp_path, command, points):
+        out = tmp_path / "out"
+        assert run_cli(*command, "--out", str(out), "--set", f"grid_points={points}") == 1
+        assert not out.exists()
 
     def test_eps_out_of_range(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--set", "eps_converge=2") == 1
@@ -609,8 +614,8 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("cell", [
         {"re": True}, {"re": "0.5"}, {"im": False}, {"im": "0.5"},
-        {"re": None}, {"re": [0.5]},
-    ], ids=["re_bool", "re_string", "im_bool", "im_string", "re_null", "re_list"])
+        {"re": None}, {"re": [0.5]}, "x",
+    ], ids=["re_bool", "re_string", "im_bool", "im_string", "re_null", "re_list", "bare"])
     def test_custom_rejects_non_number_part(self, tmp_path, capsys, cell):
         # a part of an {"re", "im"} entry obeys the bare-cell rule
         config = tmp_path / "config.json"
@@ -689,6 +694,46 @@ class TestConfigErrors:
         assert config["tau_c"] == 1.0
 
 
+class TestConfigBlocks:
+    # each block as a valid config holds it, and the command that reads it
+    VALID = {
+        "tolerances": default_config()["tolerances"],
+        "custom": {"hamiltonian": [[1.0]], "rho0": [[1.0]], "t_max": 1.0},
+        "sweep": {"parameter": "kappa", "values": [1.0]},
+    }
+    READER = {"tolerances": ["run"], "custom": ["run", "--set", "scenario=custom"],
+              "sweep": ["sweep"]}
+
+    @pytest.mark.parametrize("block, case", [
+        *((block, "unknown") for block in ("configuration", "tolerances", "custom", "sweep")),
+        *((block, "missing") for block in ("tolerances", "custom", "sweep")),
+        *((block, "not_object") for block in ("configuration", "tolerances", "custom", "sweep")),
+    ])
+    def test_every_block_is_checked(self, tmp_path, capsys, block, case):
+        if block == "configuration":  # the top level, from a config file
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"bogus": 1} if case == "unknown" else [1]),
+                              encoding="utf-8")
+            argv = ["run", "--config", str(config)]
+        else:  # --set replaces the whole block
+            value = dict(self.VALID[block])
+            if case == "unknown":
+                value["bogus"] = 1
+            elif case == "missing":
+                value.popitem()
+            else:
+                value = 5
+            argv = [*self.READER[block], "--set", f"{block}={json.dumps(value)}"]
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        if case == "unknown":
+            assert f"unknown {block} keys: ['bogus']" in err
+        elif case == "missing":
+            assert f"{block} block is missing keys: " in err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_kappa_sweep_distances_decrease(self, tmp_path):
         out = tmp_path / "out"
@@ -736,9 +781,10 @@ class TestSweep:
             rows = list(csv.reader(handle))
         assert float(rows[1][5]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_unknown_parameter(self, tmp_path):
+    @pytest.mark.parametrize("parameter", ["zeta", "[1]", "null", "grid_points"])
+    def test_unknown_parameter(self, tmp_path, parameter):
         assert run_cli("sweep", "--out", str(tmp_path),
-                       "--set", "sweep.parameter=zeta",
+                       "--set", f"sweep.parameter={parameter}",
                        "--set", "sweep.values=[1]") == 1
 
     def test_angle_sweep_needs_single_qubit(self, tmp_path):
@@ -767,6 +813,33 @@ class TestSweep:
 
     def test_missing_sweep_block(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path)) == 1
+
+    KAPPA_SWEEP = ("sweep", "--set", "scenario=two_qubit", "--set", "sweep.parameter=kappa",
+                   "--set", "sweep.values=[1, 5, 20]")
+
+    def test_sweep_evolves_only_the_endpoints(self, tmp_path, monkeypatch):
+        # sweep.csv reads only each point's endpoints, so no point computes a series
+        times = []
+        evolve = _kernels.evolve_coefficients
+
+        def spy(a0, eigenvalues, tau_c, t):
+            times.append(np.size(t))
+            return evolve(a0, eigenvalues, tau_c, t)
+
+        monkeypatch.setattr(_kernels, "evolve_coefficients", spy)
+        assert run_cli(*self.KAPPA_SWEEP, "--set", "grid_points=5000",
+                       "--out", str(tmp_path)) == 0
+        assert times == [2, 2, 2]
+
+    def test_sweep_csv_does_not_depend_on_grid_points(self, tmp_path):
+        # 10**11 points would be a 3.2 TB series, which run refuses
+        written = []
+        for points in (200, 10 ** 11):
+            out = tmp_path / str(points)
+            assert run_cli(*self.KAPPA_SWEEP, "--set", f"grid_points={points}",
+                           "--out", str(out)) == 0
+            written.append((out / "sweep.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,22 @@ class TestCustomScenario:
         grid_points = 2 * scenarios._BLOCK + 37
         custom_scenario(h, rho, tau_c=0.5, t_max=3.0, grid_points=grid_points)
         assert sum(stacked) == grid_points
+
+    def test_series_blocks_stay_within_the_byte_budget(self):
+        # at d = 128 a block of _BLOCK rows would hold 256 MiB temporaries and
+        # peak near 550 MiB; a byte-sized block holds 128 rows of 256 KiB each
+        rng = np.random.default_rng(128)
+        h, rho = random_hermitian(rng, 128), random_density(rng, 128)
+        tracemalloc.start()
+        try:
+            result = custom_scenario(h, rho, tau_c=1.0, t_max=50.0, grid_points=600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
+        # the last block's last row is the endpoint at t_max
+        assert result.time_series[-1, 1] == pytest.approx(purity(result.final_analytic),
+                                                          abs=1e-12)
 
     def test_rejects_non_hermitian_drive(self):
         with pytest.raises(ValidationError):

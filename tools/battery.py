@@ -71,6 +71,14 @@ def commands() -> list:
                          "--set", "sweep.values=[0, 5, 20, 40]"], None, 0),
         ("sweep_theta", ["sweep", "--set", "sweep.parameter=theta",
                          "--set", "sweep.values=[0, 0.5, 1.5]"], None, 0),
+        ("sweep_tau_c", ["sweep", "--set", "scenario=two_qubit", "--set", "sweep.parameter=tau_c",
+                         "--set", "sweep.values=[0, 0.25, 2]"], None, 0),
+        ("sweep_omega1", ["sweep", "--set", "sweep.parameter=omega1",
+                          "--set", "sweep.values=[0.5, 1, 4]"], None, 0),
+        ("sweep_phi", ["sweep", "--set", "sweep.parameter=phi",
+                       "--set", "sweep.values=[0, 1, 3]"], None, 0),
+        ("sweep_custom", ["sweep", "--set", "sweep.parameter=tau_c", "--set", "sweep.values=[1]"],
+         _custom(np.diag([0.0, 1.0]), np.full((2, 2), 0.5), 1.0, 50.0), 1),
         *((f"dense_{seed}", ["run"], dense_config(np.random.default_rng(seed)), 0)
           for seed in range(4)),
         ("custom_d3", ["run"], _random_custom(3, 3), 0),
