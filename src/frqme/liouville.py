@@ -142,7 +142,7 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
 
 
 def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Evolve states under the generator and return them tidied.
+    """Evolve states under the generator, check them and return their Hermitian parts.
 
     ``rho0`` is one state or an (n, d, d) stack, ``spec`` one GeneratorSpec
     or a sequence of n specs of one dimension, and ``t`` one time or n
@@ -151,7 +151,8 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     exponentiated a batch at a time, each batch's stack within
     ``_BATCH_BYTES``, and each sample comes out as a call on it alone would
     return it.  A generator past ``_MAX_GENERATOR_BYTES`` is refused before
-    anything of its size is allocated.
+    anything of its size is allocated.  A sample outside the density-matrix
+    tolerances raises; one inside keeps its trace and eigenvalue defects.
     """
     shared = isinstance(spec, GeneratorSpec)
     specs = (spec,) if shared else tuple(spec)

@@ -34,7 +34,8 @@ def _span_bound(h: np.ndarray) -> float:
 
     The smaller of the Gershgorin span and sqrt(2) ||h - (tr h / d) I||_F;
     the second holds because (l_max - c)^2 + (l_min - c)^2 >= span^2 / 2
-    for the mean eigenvalue c.
+    for the mean eigenvalue c.  The norm is of (h - c I) / 2^k with 2^k near
+    its largest entry, exact and free of underflow, so it is 0 only for c I.
     """
     centres = h.diagonal().real
     # entries near 1e300 overflow a sum (or leave inf - inf): min keeps the finite bound
@@ -42,7 +43,8 @@ def _span_bound(h: np.ndarray) -> float:
         radii = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
         gershgorin = float((centres + radii).max() - (centres - radii).min())
         shifted = h - centres.mean() * np.eye(h.shape[0])
-        return min(gershgorin, math.sqrt(2.0) * float(np.linalg.norm(shifted)))
+        scale = math.ldexp(1.0, int(np.frexp(np.abs(shifted).max())[1]) - 1)  # 2^1024 overflows
+        return min(gershgorin, math.sqrt(2.0) * float(np.linalg.norm(shifted / scale)) * scale)
 
 
 # The most baby steps m the Gaussian average takes: d^2 at the target scale

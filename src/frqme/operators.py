@@ -3,20 +3,17 @@
 Conventions used throughout the package: hbar = 1, Hamiltonian entries are
 angular frequencies, multi-qubit basis ordering is big-endian (the first
 qubit is the most significant index).  Storage is dense complex128; the
-target scale is Hilbert dimension <= 64.  The validation, metric and
-repair functions take one matrix or an (n, d, d) stack of them, check
-every sample and name the first failing one.
+target scale is Hilbert dimension <= 64.  The validation and metric
+functions take one matrix or an (n, d, d) stack of them, check every
+sample and name the first failing one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 class ValidationError(ValueError):
@@ -185,29 +182,13 @@ def validate_density_matrix(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 
 
 def project_to_physical(m, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Validate and tidy a nearly-physical state.
+    """Check states with :func:`validate_density_matrix`; return their Hermitian parts.
 
-    ``m`` is one matrix or an (n, d, d) stack, each sample repaired on its
-    own and the first failing one reported.  Roundoff-sized blemishes are
-    repaired: the matrix is symmetrized, eigenvalues in ``[-psd, 0)`` are
-    clamped to zero (logged at debug level) and the trace is renormalized.
-    Violations beyond the tolerances are hard errors, so genuine bugs are
-    not papered over.  The positivity check reads the one eigendecomposition
-    the repair needs.
+    Nothing is repaired: a trace defect or a negative eigenvalue within the
+    tolerances comes back as it was.  One matrix or an (n, d, d) stack.
     """
-    a = _require_unit_trace(require_hermitian(m, tol), tol)
-    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
-    evals, vecs = np.linalg.eigh(a)
-    _require_psd(evals[..., 0], tol)
-    if (clamped := evals[..., 0] < 0.0).any():
-        log.debug(
-            "clamping %d negative eigenvalue(s) >= %.3e to zero",
-            int(np.sum(evals < 0.0)),
-            float(evals[..., 0].min()),
-        )
-        vecs, evals = vecs[clamped], np.clip(evals[clamped], 0.0, None)
-        a[clamped] = (vecs * evals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return a / np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+    a = validate_density_matrix(m, tol)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def purity(rho, tol: Tolerances = DEFAULT_TOLS):

@@ -306,6 +306,15 @@ class TestEndpointLimits:
                        "--set", "omega1=1e308", "--set", "tau_c=0") == 3
         assert read_json(out / "result.json")["comparison"]["verdict"] == "fail"
 
+    def test_tiny_drive_evolves(self, tmp_path):
+        # omega1 = 1e-162: the drive's squared entries underflow, which once
+        # gave span bound 0 and a final state that never left rho0
+        out = tmp_path / "out"
+        run_cli("run", "--out", str(out), "--set", "omega1=1e-162")
+        matrices = read_json(out / "result.json")["matrices"]
+        final = as_complex_matrix(matrices["final"])
+        assert np.abs(final - as_complex_matrix(matrices["final_analytic"])).max() <= 1e-9
+
     @staticmethod
     def nothing_decayed(out):
         """Check the run in ``out`` wrote a finite series and verdict fail; return its result."""

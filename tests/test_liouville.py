@@ -17,6 +17,7 @@ from frqme import (
     build_generator,
     choi_matrix,
     commutator_superop,
+    convergence_time,
     devectorize,
     double_commutator_superop,
     eigendecompose,
@@ -26,7 +27,7 @@ from frqme import (
     qubit_state,
     vectorize,
 )
-from frqme import liouville
+from frqme import _kernels, liouville
 from helpers import (SIGMA_X, maximally_mixed, random_density, random_hermitian,
                      random_pure_density)
 
@@ -312,6 +313,21 @@ class TestPropagate:
         spec = GeneratorSpec(drive=random_hermitian(rng, dim), tau_c=0.8)
         out = propagate(spec, random_density(rng, dim), 1.9)
         np.testing.assert_array_equal(out, out.conj().T)
+
+    def test_output_is_the_unrepaired_hermitian_part(self):
+        # levels {0, 0.01, 0.6, 1} in a random basis at the 1e-14 horizon:
+        # the raw output's trace is 1 - 2.53e-11, which comes back as it is
+        # (a renormalised trace once moved the state by 6.8e-12)
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        h = (q * np.array([0.0, 0.01, 0.6, 1.0])) @ q.conj().T
+        spec = GeneratorSpec(drive=0.5 * (h + h.conj().T), tau_c=1.0)
+        rho = random_density(rng, 4)
+        t = convergence_time(eigendecompose(spec.drive), 1.0, 1e-14)
+        raw = devectorize(_kernels.expm(build_generator(spec) * t) @ vectorize(rho))
+        out = propagate(spec, rho, t)
+        np.testing.assert_array_equal(out, 0.5 * (raw + raw.conj().T))
+        assert np.trace(out).real == pytest.approx(1.0 - 2.53e-11, abs=1e-13)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 4]),

@@ -129,6 +129,22 @@ class TestGaussianAverage:
         rho = np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.3, 0.1], [0.0, 0.1, 0.2]])
         np.testing.assert_array_equal(gaussian_average(h, 0.0, rho, t), rho)
 
+    def test_span_bound_scales_exactly_by_a_power_of_two(self):
+        h = random_hermitian(np.random.default_rng(11), 4)
+        assert _span_bound(2.0 ** -600 * h) == 2.0 ** -600 * _span_bound(h)
+
+    @pytest.mark.parametrize("scale, tau_c", [(1e-100, 0.5), (1e-170, 1e-50), (1e-250, 1e-200)])
+    def test_tiny_drive_evolves_as_its_rescaled_twin(self, scale, tau_c):
+        # s h for t / s under tau_c / s is the same evolution; below 1e-162
+        # the entries of s h square to 0, where an unscaled norm once gave
+        # span bound 0 and the state came back unevolved
+        rng = np.random.default_rng(12)
+        h, rho = random_hermitian(rng, 3), random_density(rng, 3)
+        expected = gaussian_average(h, tau_c, rho, 2.0)
+        assert np.abs(expected - rho).max() > 0.01
+        out = gaussian_average(scale * h, tau_c / scale, rho, 2.0 / scale)
+        assert np.abs(out - expected).max() <= 1e-12
+
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(3, 8),
            stiff=st.booleans(), rotated=st.booleans(),

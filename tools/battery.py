@@ -67,6 +67,7 @@ def commands() -> list:
         ("two_qubit_fine", ["run", "--set", "scenario=two_qubit", "--set", "grid_points=5000",
                             "--set", "kappa=33.3"], None, 0),
         ("kappa_1e12", ["run", "--set", "kappa=1e12"], None, 0),
+        ("omega1_1e-162", ["run", "--set", "omega1=1e-162"], None, 3),
         ("sweep_kappa", ["sweep", "--set", "sweep.parameter=kappa",
                          "--set", "sweep.values=[0, 5, 20, 40]"], None, 0),
         ("sweep_theta", ["sweep", "--set", "sweep.parameter=theta",
