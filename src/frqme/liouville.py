@@ -202,13 +202,13 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 def choi_matrix(superop) -> np.ndarray:
     """Reshuffle a column-stacked superoperator into its Choi matrix.
 
-    The map is completely positive iff the result is positive semidefinite;
-    trace preservation shows up as Choi trace d together with
-    superop^dagger vec(I) = vec(I).
+    ``superop`` is one d^2 x d^2 matrix or an (n, d^2, d^2) stack, reshuffled
+    sample by sample.  The map is completely positive iff the result is
+    positive semidefinite; trace preservation shows up as Choi trace d
+    together with superop^dagger vec(I) = vec(I).
     """
-    p = np.asarray(superop, dtype=np.complex128)
-    d2 = p.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if p.ndim != 2 or p.shape != (d2, d2) or d * d != d2:
-        raise ValidationError(f"expected a d^2 x d^2 matrix, got shape {p.shape}")
-    return p.reshape(d, d, d, d).swapaxes(0, 3).reshape(d2, d2).copy()
+    p = _as_square_stack(superop)
+    d = math.isqrt(p.shape[-1])
+    if d * d != p.shape[-1]:
+        raise ValidationError(f"expected d^2 x d^2 matrices, got shape {p.shape}")
+    return p.reshape(p.shape[:-2] + (d,) * 4).swapaxes(-4, -1).copy().reshape(p.shape)

@@ -62,9 +62,15 @@ class Tolerances:
                     f"tolerance {field.name} must be finite and >= 0, got {value}"
                 )
 
-    def degeneracy_threshold(self, eigenvalues) -> float:
-        span = float(np.max(eigenvalues) - np.min(eigenvalues)) if len(eigenvalues) else 0.0
-        return self.degeneracy * (span + 1.0)
+    def degeneracy_threshold(self, eigenvalues):
+        """``degeneracy * (span + 1)``, span the range of the eigenvalues (0 for none).
+
+        A float for one vector; an (n,) array for an (n, d) stack, one per row.
+        """
+        ev = np.asarray(eigenvalues, dtype=np.float64)
+        span = np.ptp(ev, axis=-1) if ev.shape[-1] else np.zeros(ev.shape[:-1])
+        threshold = self.degeneracy * (span + 1.0)
+        return float(threshold) if threshold.ndim == 0 else threshold
 
 
 DEFAULT_TOLS = Tolerances()

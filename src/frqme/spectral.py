@@ -22,7 +22,9 @@ from .operators import (
     DEFAULT_TOLS,
     Tolerances,
     ValidationError,
+    _first_failure,
     _require_nonnegative,
+    _sample,
     as_square_matrix,
     require_hermitian,
     validate_density_matrix,
@@ -40,8 +42,10 @@ class Spectrum:
     number, ``group_eigenvalues[k]`` is the mean eigenvalue of group k and
     ``projectors`` is the (k, d, d) stack whose k-th matrix projects onto
     group k's subspace; these three are computed once by
-    :func:`eigendecompose` and are read-only.  No run multiplies a state by
-    the stack; ``verify`` sums P_k rho P_k as the oracle of :meth:`dephase`.
+    :func:`eigendecompose` and are read-only.  A Spectrum from a stacked
+    call holds views into arrays shared with the rest of the stack.  No run
+    multiplies a state by the stack; ``verify`` sums P_k rho P_k as the
+    oracle of :meth:`dephase`.
     """
 
     eigenvalues: np.ndarray
@@ -68,34 +72,51 @@ class Spectrum:
         return rho
 
 
-def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum:
-    """Diagonalize a Hermitian drive and cluster near-equal eigenvalues.
+def eigendecompose(h, tol: Tolerances = DEFAULT_TOLS) -> Spectrum | tuple[Spectrum, ...]:
+    """Diagonalize Hermitian drives and cluster near-equal eigenvalues.
 
-    Adjacent eigenvalues closer than tol.degeneracy_threshold(eigenvalues)
-    fall into the same group, so exact degeneracies survive roundoff.  A
-    drive within tol.herm of Hermitian is replaced by its Hermitian part, as
-    in the Gaussian average and the Liouville oracle.  A drive whose
-    eigenvalue span or mean overflows the float range raises ValidationError.
+    ``h`` is one drive, which gives one Spectrum, or an (n, d, d) stack of
+    drives of one dimension, which gives a tuple of n, each equal field by
+    field to the Spectrum of a call on that drive alone.  Adjacent
+    eigenvalues closer than tol.degeneracy_threshold(eigenvalues) fall into
+    the same group, so exact degeneracies survive roundoff.  A drive within
+    tol.herm of Hermitian is replaced by its Hermitian part, as in the
+    Gaussian average and the Liouville oracle.  A drive whose eigenvalue
+    span or mean overflows the float range raises ValidationError; on a
+    stack, every error names the first failing sample.
     """
-    hm = require_hermitian(as_square_matrix(h), tol)
-    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * hm + 0.5 * hm.conj().T)
+    hm = require_hermitian(h, tol)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * hm + 0.5 * hm.conj().swapaxes(-1, -2))
     with np.errstate(over="ignore"):
-        edges = np.array([eigenvalues[-1] - eigenvalues[0], eigenvalues.mean()])
-    if not np.isfinite(edges).all():
-        raise ValidationError("the eigenvalue span or mean of the drive overflows the "
-                              "float range; scale custom.hamiltonian down")
-    threshold = tol.degeneracy_threshold(eigenvalues)
-    # a group starts after each gap past the threshold; members[k, i]: index i is in group k
-    labels = np.concatenate(([0], np.cumsum(np.diff(eigenvalues) > threshold)))
-    members = labels == np.arange(labels[-1] + 1)[:, None]
-    groups = tuple(tuple(np.flatnonzero(m).tolist()) for m in members)
-    group_eigenvalues = np.array([eigenvalues[m].mean() for m in members])
-    projectors = (eigenvectors * members[:, None, :]) @ eigenvectors.conj().T
-    for a in (labels, group_eigenvalues, projectors):
+        span = eigenvalues[..., -1] - eigenvalues[..., 0]
+        finite = np.isfinite(span) & np.isfinite(eigenvalues.mean(axis=-1))
+    if (i := _first_failure(finite)) is not None:
+        raise ValidationError(f"the eigenvalue span or mean of the drive overflows the "
+                              f"float range{_sample(i)}; scale custom.hamiltonian down")
+    d = hm.shape[-1]
+    values, vectors = eigenvalues.reshape(-1, d), eigenvectors.reshape(-1, d, d)
+    # a group starts after each gap past its sample's threshold
+    gaps = values[:, 1:] - values[:, :-1] > tol.degeneracy_threshold(values)[:, None]
+    labels = np.zeros(values.shape, dtype=np.intp)
+    np.cumsum(gaps, axis=-1, out=labels[:, 1:])
+    # members[j, k, i]: index i of sample j is in group k, for as many groups
+    # as the sample with the most has; sample j keeps its first k_j projectors
+    members = labels[:, None, :] == np.arange(labels[:, -1].max(initial=0) + 1)[:, None]
+    adjoints = vectors.conj().swapaxes(-1, -2)
+    projectors = (vectors[:, None] * members[..., None, :]) @ adjoints[:, None]
+    for a in (labels, projectors):
         a.flags.writeable = False
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=groups,
-                    labels=labels, group_eigenvalues=group_eigenvalues,
-                    projectors=projectors)
+    spectra = []
+    for j, split in enumerate(gaps.tolist()):
+        edges = [0, *(i + 1 for i, gap in enumerate(split) if gap), d]
+        runs = tuple(zip(edges, edges[1:]))
+        group_eigenvalues = np.array([values[j, a:b].mean() for a, b in runs])
+        group_eigenvalues.flags.writeable = False
+        spectra.append(Spectrum(eigenvalues=values[j], eigenvectors=vectors[j],
+                                groups=tuple(tuple(range(a, b)) for a, b in runs),
+                                labels=labels[j], group_eigenvalues=group_eigenvalues,
+                                projectors=projectors[j, :len(runs)]))
+    return tuple(spectra) if hm.ndim == 3 else spectra[0]
 
 
 def to_eigenbasis(spectrum: Spectrum, matrix) -> np.ndarray:

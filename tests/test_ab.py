@@ -23,9 +23,25 @@ def test_summary_prints_medians_quartiles_and_change():
 
 def test_summary_is_worse_only_past_the_bound_in_the_metric_direction():
     assert ab.summary(P50, [1.0, 1.0, 1.0], [1.3, 1.3, 1.3])[1] == "worse"
-    assert ab.summary(P50, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])[1] == "within bound"
+    assert ab.summary(P50, [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])[1] == "better"
     assert ab.summary(RATE, [10.0, 10.0, 10.0], [7.0, 7.0, 7.0])[1] == "worse"
-    assert ab.summary(RATE, [10.0, 10.0, 10.0], [20.0, 20.0, 20.0])[1] == "within bound"
+    assert ab.summary(RATE, [10.0, 10.0, 10.0], [20.0, 20.0, 20.0])[1] == "better"
+
+
+def test_summary_is_better_only_on_nine_tenths_of_the_pairs():
+    rev = [1.0 + 0.01 * i for i in range(10)]
+    nine = [r - 0.2 for r in rev[:9]] + [rev[9]]  # the last pair a tie
+    assert ab.summary(P50, rev, nine)[1] == "better"
+    eight = [r - 0.2 for r in rev[:8]] + [rev[8] + 0.01, rev[9]]
+    assert ab.summary(P50, rev, eight)[1] == "within bound"
+    assert ab.summary(RATE, rev, [r + 0.2 for r in rev[:8]] + rev[8:])[1] == "within bound"
+
+
+def test_summary_is_not_better_by_a_gain_inside_the_parent_spread():
+    # REV's quartiles 1.025 and 1.175: every pair won, but the median gains only 0.1
+    rev = [1.0, 1.0, 1.0, 1.1, 1.1, 1.1, 1.1, 1.2, 1.2, 1.2]
+    assert ab.summary(P50, rev, [r - 0.1 for r in rev])[1] == "within bound"
+    assert ab.summary(P50, rev, [r - 0.3 for r in rev])[1] == "better"
 
 
 def test_summary_is_unresolved_when_either_spread_is_past_the_bound():

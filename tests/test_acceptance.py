@@ -103,6 +103,23 @@ def test_broken_dephasing_fails_born_equivalence(monkeypatch):
     assert failed[0].kind == "comparison"
 
 
+def test_misplaced_stacked_spectra_fail_born_equivalence(monkeypatch):
+    # a stacked decomposition that hands each drive another drive's spectrum
+    # is caught where the propagated state meets the projector sum and the
+    # prediction; single calls are left as they are
+    eigendecompose = verify.eigendecompose
+
+    def reversed_stack(h, tol):
+        spectra = eigendecompose(h, tol)
+        return spectra[::-1] if np.ndim(h) == 3 else spectra
+
+    monkeypatch.setattr(verify, "eigendecompose", reversed_stack)
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["born_equivalence_random"]
+    assert failed[0].kind == "comparison"
+    print(f"born_equivalence_random with misplaced spectra: FAIL  {failed[0].detail}")
+
+
 def test_reversed_weights_fail_born_probability_formulas(monkeypatch):
     # outcome weights assigned to the wrong groups are caught by the closed
     # form of the single-qubit probabilities

@@ -870,6 +870,17 @@ class TestVerify:
         assert "FAIL" in output
         assert "9/9 checks passed" not in output
 
+    @pytest.mark.parametrize("degeneracy", ["0.5", "1", "1e300"])
+    def test_one_group_drives_report_instead_of_crashing(self, capsys, degeneracy):
+        # every drive is one group, so no coherence is left to fit a decay slope to
+        assert run_cli("verify", "--set", f"tolerances.degeneracy={degeneracy}") == 2
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 10 and lines[-1] == "6/9 checks passed"
+        decay = next(line for line in lines if line.startswith("dissipative_decay "))
+        assert "  FAIL  " in decay and "log-slope nan vs -1" in decay and "on 0 points" in decay
+        assert captured.err == ""
+
 
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):

@@ -461,3 +461,9 @@ class TestChoiMatrix:
     def test_rejects_non_square_superoperator_dimension(self):
         with pytest.raises(ValidationError):
             choi_matrix(np.eye(5))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_equals_per_matrix_calls(self, d):
+        parts = np.random.default_rng(d).standard_normal((2, 4, d * d, d * d))
+        stack = parts[0] + 1j * parts[1]
+        np.testing.assert_array_equal(choi_matrix(stack), [choi_matrix(p) for p in stack])

@@ -135,7 +135,6 @@ class TestStacks:
         stack = self.states(23, n=3)
         spectrum = eigendecompose(np.diag([0.0, 1.0, 2.0]))
         for call in (
-            lambda: eigendecompose(stack),
             lambda: GeneratorSpec(drive=stack),
             lambda: born_predict(spectrum, stack),
         ):

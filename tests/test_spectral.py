@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from frqme import (
     DEFAULT_TOLS,
     GeneratorSpec,
+    NonHermitianError,
     SIGMA_Y,
+    Spectrum,
     Tolerances,
     ValidationError,
     analytic_evolve,
@@ -101,6 +103,53 @@ class TestEigendecompose:
         np.testing.assert_allclose(spectrum.eigenvalues, [-0.5, -0.5, 0.5, 0.5],
                                    atol=1e-12)
         assert spectrum.groups == ((0, 1), (2, 3))
+
+
+def _mixed_drive_stack(rng, d):
+    """Distinct-level, degenerate and one-group drives of dimension d, in turn."""
+    stack = []
+    for j in range(9):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        if j % 3 == 0:
+            stack.append(random_hermitian(rng, d))
+        elif j % 3 == 1:  # level -1 taken d // 2 + 1 times, then level 2
+            stack.append((q * np.where(np.arange(d) < d // 2 + 1, -1.0, 2.0)) @ q.conj().T)
+        else:
+            stack.append(0.3 * np.eye(d) + 0j)
+    return np.array(stack)
+
+
+class TestStackedEigendecompose:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_each_sample_is_the_single_call(self, d):
+        stack = _mixed_drive_stack(np.random.default_rng(d), d)
+        spectra = eigendecompose(stack)
+        assert isinstance(spectra, tuple) and len(spectra) == len(stack)
+        counts = set()
+        for h, stacked in zip(stack, spectra):
+            single = eigendecompose(h)
+            assert isinstance(stacked, Spectrum)
+            assert stacked.groups == single.groups
+            counts.add(len(single.groups))
+            for field in ("eigenvalues", "eigenvectors", "labels", "group_eigenvalues",
+                          "projectors"):
+                a, b = getattr(stacked, field), getattr(single, field)
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert np.array_equal(a, b), field
+                assert a.flags.writeable == b.flags.writeable, field
+        # the stack mixes group counts, so its projectors are padded for some samples
+        assert len(counts) == min(d, 3)
+
+    def test_non_hermitian_sample_is_named(self):
+        stack = _mixed_drive_stack(np.random.default_rng(0), 3)
+        stack[2, 0, 1] += 1e-3
+        with pytest.raises(NonHermitianError, match="in sample 2"):
+            eigendecompose(stack)
+
+    def test_overflowing_sample_is_named(self):
+        stack = np.array([np.diag([0.0, 1.0]), np.diag([1e308, -1e308]), np.diag([1e308, 1e308])])
+        with pytest.raises(ValidationError, match="overflows the float range in sample 1"):
+            eigendecompose(stack)
 
 
 # Gaps straddling the default clustering threshold (about 1e-9 to 1e-8 here).

@@ -17,11 +17,14 @@ host in the same state.
 
 For each end-to-end metric of BENCHMARK.json the report gives each side's
 median [Q1, Q3], the relative change of the median, and one verdict
-against the metric's ``bound`` and ``better``: "worse" when this tree's
-median is worse than REV's by more than the bound, "unresolved" when either
-side's interquartile range is wider than the bound times its median, and
-"within bound" otherwise.  The failed-op count of each side follows.  Each
-run's metrics are printed as it ends.
+against the metric's ``bound`` and ``better``, the first that holds of:
+"worse" when this tree's median is worse than REV's by more than the
+bound; "better" when this tree wins at least nine tenths of the pairs
+(ties count for neither side) and its median beats REV's by more than
+REV's interquartile range; "unresolved" when either side's interquartile
+range is wider than the bound times its median; "within bound".  Only
+pairs whose two runs both completed are compared.  The failed-op count of
+each side follows.  Each run's metrics are printed as it ends.
 
 Exit status: 1 when a run exits non-zero or reports itself not correct, or
 when a metric is "worse"; otherwise 0.
@@ -46,13 +49,17 @@ def summary(metric: dict, rev: list, tree: list) -> tuple:
     """(line to print, verdict) for one end-to-end metric's values on each side.
 
     ``metric`` is a BENCHMARK.json ``end_to_end`` entry; ``rev`` and ``tree``
-    hold one value per run.
+    hold one value per run, ``rev[i]`` and ``tree[i]`` the two runs of pair i.
     """
     (r1, rm, r3), (t1, tm, t3) = (np.percentile(v, [25, 50, 75]) for v in (rev, tree))
     change = tm / rm - 1.0
     bound = metric["bound"]
-    if (change if metric["better"] == "lower" else -change) > bound:
+    sign = 1.0 if metric["better"] == "lower" else -1.0  # positive: this tree is worse
+    wins = sum(sign * (t - r) < 0 for r, t in zip(rev, tree))
+    if sign * change > bound:
         verdict = "worse"
+    elif 10 * wins >= 9 * len(tree) and sign * (rm - tm) > r3 - r1:
+        verdict = "better"
     elif r3 - r1 > bound * rm or t3 - t1 > bound * tm:
         verdict = "unresolved"
     else:
@@ -92,11 +99,12 @@ def main(argv=None) -> int:
                           flush=True)
     passed = all(r is not None and r["correct"] for runs in reports.values() for r in runs)
     done = {side: [r for r in runs if r is not None] for side, runs in reports.items()}
-    if all(done.values()):
+    pairs = [pair for pair in zip(*reports.values()) if None not in pair]
+    if pairs:
         print(f"{args.workload}, {args.pairs} pairs, {args.rev} -> tree:")
         for metric in bench["end_to_end"]:
             line, verdict = summary(metric, *([r["metrics"][metric["name"]]["value"] for r in runs]
-                                              for runs in done.values()))
+                                              for runs in zip(*pairs)))
             print(f"  {line}")
             passed &= verdict != "worse"
     print("  failed ops: " + ", ".join(f"{side} {sum(r['failed'] for r in runs)}"
