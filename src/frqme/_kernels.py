@@ -6,6 +6,7 @@
 * ``propagate_grid``      -- repeated application of one step propagator
 * ``evolve_coefficients`` -- the closed form ``a_ij(0) exp((-i D_ij - tau_c
   D_ij^2) t)``, D_ij = l_i - l_j, and its one set of float-range rules
+* ``block_rows``          -- the sizes of a run's arrays: rows per block, within ``_MAX_ARRAY_BYTES``
 
 The matrices handled here are small: Hilbert dimension up to about 64, and
 Liouville dimension d^2 only where the Liouville exponential still runs
@@ -106,3 +107,13 @@ def evolve_coefficients(a0, eigenvalues, tau_c, t):
             raise ValidationError(f"the eigenbasis solution overflows at time {np.max(t)}")
         decay = np.exp(np.maximum(-tau_c * dl * dl, -np.finfo(np.float64).max) * t)
     return a0 * (p * np.swapaxes(p, -1, -2).conj()) * decay
+
+
+# The one budget of a run's largest arrays: propagate's generator, the series, a block.
+_MAX_ARRAY_BYTES = 32 * 1024 * 1024
+_BLOCK = 512  # most rows per block: a whole fine grid at once raises the peak for no speed
+
+
+def block_rows(d):
+    """Rows per (rows, d, d) complex block: _BLOCK, fewer past d = 64 to stay within budget."""
+    return max(1, min(_BLOCK, _MAX_ARRAY_BYTES // (16 * d * d)))

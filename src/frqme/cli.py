@@ -428,8 +428,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                        dest="overrides", help="dotted-path configuration override")
-        p.add_argument("--eps-converge", metavar="FLOAT", type=float,
-                       help="decay factor defining the reported convergence time")
     return parser
 
 
@@ -449,8 +447,6 @@ def _load_config(args) -> dict:
         config = _merge(config, loaded)
     for assignment in args.overrides:
         _apply_set(config, assignment)
-    if args.eps_converge is not None:
-        config["eps_converge"] = args.eps_converge
     if args.out is not None:
         config["out"] = args.out
     return _validate_config(config)

@@ -15,9 +15,9 @@ exponential of the generator, at cost O(d^6), and serves the self-checks
 and drives with extra channels.  It takes one state or an (n, d, d) stack
 with one spec and time or n of each, and exponentiates the scaled
 generators a batch at a time within a fixed byte budget, so one call
-covers a whole loop of instances.  It refuses a generator past
-``_MAX_GENERATOR_BYTES`` (d > 38).  The scenario endpoints come from the
-Milburn form instead (``milburn.gaussian_average``).
+covers a whole loop of instances.  It refuses a generator past the
+one-array budget ``_kernels._MAX_ARRAY_BYTES`` (d > 38).  The scenario
+endpoints come from the Milburn form instead (``milburn.gaussian_average``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from .operators import (
 # A batch's stack of scaled generators stays within this many bytes (3
 # samples at d = 6), so the stacked exponential's working set stays small.
 _BATCH_BYTES = 64 * 1024
-# The largest generator propagate builds (d = 32 takes 16 MiB, its exponential
-# about 14 times that; d = 64 would take 268 MB), and the largest run series.
-_MAX_GENERATOR_BYTES = 32 * 1024 * 1024
 
 
 def vectorize(rho) -> np.ndarray:
@@ -150,7 +147,7 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     state only when all three are single.  The scaled generators are
     exponentiated a batch at a time, each batch's stack within
     ``_BATCH_BYTES``, and each sample comes out as a call on it alone would
-    return it.  A generator past ``_MAX_GENERATOR_BYTES`` is refused before
+    return it.  A generator past ``_kernels._MAX_ARRAY_BYTES`` is refused before
     anything of its size is allocated.  A sample outside the density-matrix
     tolerances raises; one inside keeps its trace and eigenvalue defects.
     """
@@ -160,10 +157,10 @@ def propagate(spec, rho0, t, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected specs of one dimension, got {sorted({s.dim for s in specs})}")
     d = specs[0].dim
-    if (size := 16 * d ** 4) > _MAX_GENERATOR_BYTES:
+    if (size := 16 * d ** 4) > _kernels._MAX_ARRAY_BYTES:
         raise ValidationError(
             f"the Liouville generator of a d = {d} drive takes {size} bytes, past the "
-            f"{_MAX_GENERATOR_BYTES}-byte limit of propagate; custom scenarios use the "
+            f"{_kernels._MAX_ARRAY_BYTES}-byte limit of propagate; custom scenarios use the "
             "Gaussian average instead")
     rho = validate_density_matrix(rho0, tol)
     if rho.shape[-1] != d:

@@ -8,10 +8,10 @@ Gaussian-distributed times:
 
 with U(s) = exp(-i H s).  ``gaussian_average`` evaluates it by a trapezoid
 rule, summed by baby and giant steps and folded by Horner: two d x d
-exponentials, O(sqrt(nodes)) d x d products and one stack of
-O(sqrt(nodes)) d x d matrices, where the d^2 x d^2 Liouville exponential
-(``liouville.propagate``, the oracle) costs O(d^6).  It gives every
-scenario's numeric endpoint and never diagonalises the drive.
+exponentials, O(sqrt(nodes)) d x d products, one stack of O(sqrt(nodes))
+d x d matrices and weighted sums in blocks of ``_kernels.block_rows``, where
+the d^2 x d^2 Liouville exponential (``liouville.propagate``, the oracle)
+costs O(d^6).  It gives every scenario's numeric endpoint and never diagonalises H.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ def _span_bound(h: np.ndarray) -> float:
 
 
 # The most baby steps m the Gaussian average takes: d^2 at the target scale
-# d = 64, where its (m, d, d) stack of T_i takes m d^2 16 bytes = 268 MB.  Its
-# largest phase budget eps * span * t: past it the two Newton-Schulz steps on
-# V let the trace of random tau_c = 0 endpoints drift past 1e-10 (the
-# packaged pulses reach 2.2e-3 at kappa = 1e13).
+# d = 64, where its (m, d, d) stack of T_i takes 268 MB and its m x m weight table,
+# half the work, 16.8 M weights.  Its largest phase budget eps * span * t: past it
+# the two Newton-Schulz steps on V let the trace of random tau_c = 0 endpoints
+# drift past 1e-10 (the packaged pulses reach 2.2e-3 at kappa = 1e13).
 _GAUSS_MAX_STEPS = 64 ** 2
 _GAUSS_MAX_PHASE = 2.5e-3
 
@@ -94,9 +94,9 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     So the sum is sum_j u^j Y_j u^-j with Y_j = sum_i w_(i m + j) T_i and
     T_i = G^i V rho V^H G^-i, folded by Horner as out <- Y_j + u out u^H
     for j = m - 1 down to 0: two d x d exponentials and O(m) products.
-    The (m, d, d) stack of T_i is its one array that grows with m; the
-    Y_j are formed and folded at most d^2 at a time.  When sigma = 0 the
-    rule has one node and this is the plain conjugation U(t) rho U(t)^H.
+    The (m, d, d) stack of T_i is its one array that grows with m; the Y_j
+    are formed and folded min(d^2, ``_kernels.block_rows(d)``) at a time.
+    When sigma = 0 the rule has one node, the conjugation U(t) rho U(t)^H.
     A drive of span bound 0 is c I, whose every U(s) is a global phase, so
     the Hermitian part of rho returns before any check or exponential.
     The result is exactly Hermitian.  Past ``_GAUSS_MAX_STEPS`` baby steps, or
@@ -111,8 +111,9 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
         return 0.5 * rho + 0.5 * rho.conj().T
     step, spacing, k, m = _gaussian_grid(span, tau_c, t)
     if m > _GAUSS_MAX_STEPS:
-        raise ValidationError(f"the Gaussian average needs {m} baby steps, more than "
-                              f"its limit _GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}")
+        raise ValidationError(f"the Gaussian average needs {m:.4g} baby steps, more than its"
+                              f" limit _GAUSS_MAX_STEPS = {_GAUSS_MAX_STEPS}; lower tau_c, kappa"
+                              " or omega1, or custom.t_max or the span of custom.hamiltonian")
     if (phase := np.finfo(np.float64).eps * span * t) > _GAUSS_MAX_PHASE:
         raise ValidationError(f"the phase budget eps * span * t = {phase:.3g} is past its limit"
                               f" _GAUSS_MAX_PHASE = {_GAUSS_MAX_PHASE}; lower kappa, or"
@@ -134,16 +135,17 @@ def gaussian_average(h: np.ndarray, tau_c: float, rho: np.ndarray, t: float) -> 
     terms[0] = v @ rho @ v.conj().T
     for i in range(1, m):
         terms[i] = giant @ terms[i - 1] @ giant.conj().T
-    # Y = W^T T for the m x m weights W[i, j] = w_(i m + j), formed d^2
+    # Y = W^T T for the m x m weights W[i, j] = w_(i m + j), formed `width`
     # baby-step columns at a time, the last first: each block of Y is one
-    # matrix product on T's real view, folded in at once, and no m^2 array
-    # (98 MB at d = 2, m = 3500) exists while m > d^2.
+    # matrix product on T's real view, folded in at once.  No m^2 array (98 MB
+    # at d = 2, m = 3500) exists while m > d^2, nor a block of Y past the budget.
+    width = min(d * d, _kernels.block_rows(d))
     flat = terms.view(np.float64).reshape(m, -1)
     row_offsets = np.arange(m)[:, None] * m - k
     out = np.zeros((d, d), dtype=np.complex128)
     total = 0.0
-    for first in reversed(range(0, m, d * d)):
-        n = row_offsets + np.arange(first, min(first + d * d, m))  # node - K
+    for first in reversed(range(0, m, width)):
+        n = row_offsets + np.arange(first, min(first + width, m))  # node - K
         w = np.where(n <= k, np.exp(-0.5 * (n * spacing) ** 2), 0.0)
         total += w.sum()
         for y in (w.T @ flat).view(np.complex128).reshape(-1, d, d)[::-1]:

@@ -8,11 +8,11 @@ infinite-time limit and the measurement prediction for later comparison.
 A run checks each input once, under its tolerances, in order:
 grid_points, t_max, the drive (``eigendecompose``), tau_c, then rho0
 (``born_predict``).  The time series comes from the closed-form eigenbasis
-solution, evaluated on blocks of grid times.  The numeric endpoint, an
-independent check on it that never diagonalises the drive, is the Milburn
-Gaussian average over evolution times (``milburn.gaussian_average``); a
+solution, on blocks of ``_kernels.block_rows`` grid times.  The numeric
+endpoint, an independent check on it that never diagonalises the drive, is
+the Milburn Gaussian average over evolution times (``gaussian_average``); a
 Gaussian width past its fixed step limit raises ValidationError.  The
-d^2 x d^2 Liouville exponential is not on this path.
+Liouville exponential is not on this path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from . import _kernels
 from .born import BornPrediction, born_predict
-from .liouville import _MAX_GENERATOR_BYTES
 from .milburn import gaussian_average
 from .operators import (
     DEFAULT_TOLS,
@@ -44,11 +43,6 @@ from .operators import (
 from .spectral import Spectrum, eigendecompose, from_eigenbasis, to_eigenbasis
 
 TIME_SERIES_COLUMNS = ("t", "purity", "max_cross_group_coherence", "trace_distance_to_born")
-
-# Most grid times per closed-form block: holding a whole fine grid at once
-# raises peak memory for no speed.  Past d = 64 a block is fewer rows, so that
-# each (block, d, d) complex temporary stays within _MAX_GENERATOR_BYTES.
-_BLOCK = 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,9 +105,9 @@ def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
         raise ValidationError(f"grid_points must be an integer >= 2, got {grid_points}")
     grid_points = int(grid_points)
     # a series shares propagate's one-array byte budget: 1048576 points of four float64s
-    if (size := 8 * len(TIME_SERIES_COLUMNS) * grid_points) > _MAX_GENERATOR_BYTES:
+    if (size := 8 * len(TIME_SERIES_COLUMNS) * grid_points) > _kernels._MAX_ARRAY_BYTES:
         raise ValidationError(f"grid_points {grid_points} needs a {size}-byte series, past "
-                              f"the {_MAX_GENERATOR_BYTES}-byte limit")
+                              f"the {_kernels._MAX_ARRAY_BYTES}-byte limit")
     t_max = _require_nonnegative(t_max, "t_max")
     h = as_square_matrix(h)
     spectrum = eigendecompose(h, tol)  # the one hermiticity check of the drive
@@ -136,7 +130,7 @@ def custom_scenario(h, rho0, tau_c: float, t_max: float, grid_points: int = 200,
 
     series = np.empty((grid_points, len(TIME_SERIES_COLUMNS)), dtype=np.float64)
     series[:, 0] = np.linspace(0.0, t_max, grid_points)
-    block = max(1, min(_BLOCK, _MAX_GENERATOR_BYTES // (16 * a0.size)))
+    block = _kernels.block_rows(len(a0))
     for start in range(0, grid_points, block):
         rows = series[start:start + block]
         coeffs = _kernels.evolve_coefficients(

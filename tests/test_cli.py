@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -166,9 +167,9 @@ class TestRun:
         assert initial[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert doc["matrices"]["asymptotic"] == doc["matrices"]["born_post_state"]
 
-    def test_eps_converge_flag(self, tmp_path):
+    def test_eps_converge_key(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("run", "--out", str(out), "--eps-converge", "1e-4") == 0
+        assert run_cli("run", "--out", str(out), "--set", "eps_converge=1e-4") == 0
         doc = read_json(out / "result.json")
         assert doc["convergence_time"] == pytest.approx(-math.log(1e-4), rel=1e-12)
 
@@ -384,6 +385,21 @@ class TestEndpointLimits:
         assert "eps * span * t" in err
         assert "past its limit _GAUSS_MAX_PHASE = 0.0025; lower kappa, or custom.t_max" in err
 
+    def test_step_count_past_the_limit_is_short_and_names_its_keys(self, tmp_path, capsys):
+        # m = isqrt(2K) + 1 is a 76-digit integer here; the message gives it
+        # to four digits and names the keys that shrink it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "scenario": "custom",
+            "tau_c": 1.0,
+            "custom": {"hamiltonian": [[0, 1], [1, 0]], "rho0": [[1, 0], [0, 0]], "t_max": 1e300},
+        }), encoding="utf-8")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "needs 2.783e+75 baby steps" in err
+        assert "custom.t_max" in err
+        assert not re.search(r"\d{21}", err)
+
     def test_overflowing_custom_run_exits(self, tmp_path):
         # tau_c * t_max overflows the Gaussian width; run in a subprocess
         # so that a hang fails the test instead of stalling the suite
@@ -586,6 +602,10 @@ class TestConfigErrors:
 
     def test_eps_out_of_range(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path), "--set", "eps_converge=2") == 1
+
+    def test_eps_converge_is_a_key_not_a_flag(self, tmp_path):
+        assert run_cli("run", "--out", str(tmp_path / "out"), "--eps-converge", "1e-4") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["herm", "compare"])
     def test_infinite_tolerance(self, tmp_path, key):

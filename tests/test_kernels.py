@@ -248,6 +248,13 @@ def test_propagate_grid_zero_steps_returns_initial_row():
     np.testing.assert_array_equal(grid[0], v0.astype(np.complex128))
 
 
+@pytest.mark.parametrize("d, rows", [(1, 512), (64, 512), (65, 496), (128, 128),
+                                     (400, 13), (1449, 1)])
+def test_block_rows_caps_rows_then_bytes(d, rows):
+    assert _kernels.block_rows(d) == rows
+    assert rows == 1 or 16 * d * d * rows <= _kernels._MAX_ARRAY_BYTES
+
+
 def test_evolve_coefficients_matches_direct_formula():
     rng = np.random.default_rng(3)
     a0 = random_complex(rng, 5)

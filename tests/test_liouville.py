@@ -430,7 +430,7 @@ class TestPropagateStacks:
         spec = GeneratorSpec(drive=np.diag(np.arange(32.0)))
         with pytest.raises(ValidationError, match="state dim 2"):
             propagate(spec, maximally_mixed(2), 1.0)
-        assert 16 * 32 ** 4 <= liouville._MAX_GENERATOR_BYTES < 16 * 64 ** 4
+        assert 16 * 32 ** 4 <= _kernels._MAX_ARRAY_BYTES < 16 * 64 ** 4
 
 
 class TestChoiMatrix:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,12 +80,20 @@ class TestGaussianAverage:
 
     def test_wide_average_at_d64_matches_closed_form(self):
         # span * sigma = 6.1e5, so m = 1295, where steps left off unitary
-        # put 3.8e-12 of norm drift into the populations
+        # put 3.8e-12 of norm drift into the populations; a block of Y as
+        # large as the (m, d, d) stack would take the peak past two stacks
         rng = np.random.default_rng(0)
         h, rho = random_hermitian(rng, 64), random_density(rng, 64)
         tau_c = 0.5 * (6.12e5 / _span_bound(h)) ** 2
-        assert _gaussian_grid(_span_bound(h), tau_c, 1.0)[3] == 1295
-        out = gaussian_average(h, tau_c, rho, 1.0)
+        m = _gaussian_grid(_span_bound(h), tau_c, 1.0)[3]
+        assert m == 1295
+        tracemalloc.start()
+        try:
+            out = gaussian_average(h, tau_c, rho, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * 64 ** 2 * 16
         expected = analytic_evolve(eigendecompose(h), rho, tau_c, 1.0)
         assert np.abs(out - expected).max() <= 1e-12
 

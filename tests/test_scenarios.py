@@ -489,7 +489,7 @@ class TestCustomScenario:
 
         for module in (scenarios, operators):
             monkeypatch.setattr(module, "validate_density_matrix", spy)
-        grid_points = 2 * scenarios._BLOCK + 37
+        grid_points = 2 * _kernels._BLOCK + 37
         custom_scenario(h, rho, tau_c=0.5, t_max=3.0, grid_points=grid_points)
         assert sum(stacked) == grid_points
 

@@ -50,12 +50,12 @@ def _custom(h, rho0, tau_c: float, t_max: float) -> dict:
                        "rho0": matrix_json(np.asarray(rho0, dtype=complex)), "t_max": t_max}}
 
 
-def _random_custom(dim: int, seed: int) -> dict:
+def _random_custom(dim: int, seed: int, t_max: float = 50.0) -> dict:
     # a rotated drive with distinct levels and a full-rank mixed state
     rng = np.random.default_rng(seed)
     g, w = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
     w = w @ w.conj().T
-    return _custom(0.5 * (g + g.conj().T), w / np.trace(w).real, 1.0, 50.0)
+    return _custom(0.5 * (g + g.conj().T), w / np.trace(w).real, 1.0, t_max)
 
 
 def commands() -> list:
@@ -85,6 +85,9 @@ def commands() -> list:
         ("custom_d3", ["run"], _random_custom(3, 3), 0),
         ("custom_d8", ["run"], _random_custom(8, 8), 0),
         ("custom_d24", ["run"], _random_custom(24, 24), 3),
+        # m = 1749 baby steps at d = 32: the Gaussian average folds its
+        # weighted sums in several blocks of _kernels.block_rows(32) columns
+        ("custom_d32_wide", ["run"], _random_custom(32, 32, 3e8), 0),
         ("one_group", ["run"], _custom(2.0 * np.eye(3), uniform, 1.0, 50.0), 0),
         ("diag_001", ["run"], _custom(np.diag([0.0, 0.0, 1.0]), uniform, 0.5, 200.0), 0),
         ("verify", ["verify"], None, 0),
