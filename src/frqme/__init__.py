@@ -18,10 +18,10 @@ pieces of that pipeline: states and their validation, the generator and its
 exponential, the eigenbasis solution, the prediction and its comparison, the
 packaged scenarios and the self-checks.
 
-numpy is the only runtime dependency; the kernels in frqme._kernels are one
-plain numpy function each: the matrix exponential and the entrywise
-eigenbasis evolution on the production path, and grid propagation, which
-only the tests use as the reference for the scenario time series.
+numpy is the only runtime dependency.  frqme._kernels holds the plain numpy
+kernels: the matrix exponential and the entrywise eigenbasis evolution of the
+production path, ``block_rows`` and the one array budget that size a run's
+blocks, and grid propagation, the tests' reference for the scenario series.
 """
 
 from .born import BornPrediction, ComparisonReport, born_predict, compare_to_prediction

@@ -6,7 +6,8 @@ randomized instances, complete positivity of the propagator, algebraic
 identities of the generator, monotonic purity loss with exponential
 coherence decay and a scenario endpoint that matches the closed form, and
 idempotence of a completed pulse.  Randomized checks use a fixed seed, so
-two runs produce identical reports.
+two runs produce identical reports.  Each check returns its figures; the
+table ``CHECKS`` holds their limits, and one rule judges them all.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ RNG_SEED = 20260819
 class CheckResult:
     """Outcome of one named self-check.
 
-    ``kind`` is "comparison" when a numeric threshold was exceeded and
-    "validation" when a state or operator invariant failed outright;
+    ``kind`` names how a failure arose, or would arise: "comparison" when
+    the check ran and its figures were judged against their limits (a
+    passing check has this kind too), "validation" when a state or operator
+    invariant failed outright and the check stopped;
     ``elapsed`` (seconds) is informational and never printed, so reports
     stay byte-identical across runs.
     """
@@ -105,8 +108,7 @@ def _check_single_qubit_asymptotic(tol: Tolerances):
     rho0 = np.array([pure_density(qubit_state(theta, phi), tol) for theta, phi in angles])
     expected = np.array([_single_qubit_pulse_matrix(theta, phi, 0.0, np.inf)
                          for theta, phi in angles])
-    worst = _max_entry_error(propagate(spec, rho0, 40.0, tol), expected)
-    return worst <= 1e-9, f"max entry error {worst:.3e} over 81 Bloch angles (limit 1e-09)"
+    return {"error": _max_entry_error(propagate(spec, rho0, 40.0, tol), expected)}
 
 
 def _check_single_qubit_finite_pulse(tol: Tolerances):
@@ -118,33 +120,21 @@ def _check_single_qubit_finite_pulse(tol: Tolerances):
     numerics = propagate(spec, states, [kappa for _, _, kappa in pulses], tol)
     oracles = [analytic_evolve(spectrum, rho0, 1.0, p[2], tol) for p, rho0 in zip(pulses, states)]
     closed = [_single_qubit_pulse_matrix(theta, phi, kappa, kappa) for theta, phi, kappa in pulses]
-    worst_numeric = _max_entry_error(numerics, oracles)
-    worst_closed_form = _max_entry_error(closed, oracles)
-    passed = worst_numeric <= 1e-9 and worst_closed_form <= 1e-9
-    return passed, (
-        f"27 pulses: numeric vs eigenbasis {worst_numeric:.3e}, "
-        f"closed form vs eigenbasis {worst_closed_form:.3e} (limit 1e-09)"
-    )
+    return {"numeric": _max_entry_error(numerics, oracles),
+            "closed": _max_entry_error(closed, oracles)}
 
 
 def _check_two_qubit_pulse_oracles(tol: Tolerances):
-    eye = np.eye(2, dtype=np.complex128)
-    drive = 0.5 * tensor_product(SIGMA_Y, eye)
+    drive = 0.5 * tensor_product(SIGMA_Y, np.eye(2, dtype=np.complex128))
     spec = GeneratorSpec(drive=drive, tau_c=1.0)
     spectrum = eigendecompose(drive, tol)
     rho0 = pure_density(bell_amplitudes(), tol)
     kappa = np.pi / 3.0
     late, finite = propagate(spec, np.array([rho0, rho0]), [20.0, kappa], tol)
-    err_late = _max_entry_error(late, _two_qubit_pulse_matrix(0.0, np.inf))
     oracle = analytic_evolve(spectrum, rho0, 1.0, kappa, tol)
-    err_finite = _max_entry_error(finite, oracle)
-    err_pattern = _max_entry_error(_two_qubit_pulse_matrix(kappa, kappa), oracle)
-
-    passed = err_late <= 1e-8 and err_finite <= 1e-9 and err_pattern <= 1e-9
-    return passed, (
-        f"long pulse vs limit {err_late:.3e} (limit 1e-08); short pulse numeric "
-        f"{err_finite:.3e} and closed form {err_pattern:.3e} vs eigenbasis (limit 1e-09)"
-    )
+    return {"late": _max_entry_error(late, _two_qubit_pulse_matrix(0.0, np.inf)),
+            "finite": _max_entry_error(finite, oracle),
+            "closed": _max_entry_error(_two_qubit_pulse_matrix(kappa, kappa), oracle)}
 
 
 def _distinct_levels(rng, count: int) -> np.ndarray:
@@ -197,7 +187,7 @@ def _check_born_equivalence_random(tol: Tolerances):
         h = _random_hermitian(rng, dim, forced_degeneracy=(i % 3 == 1 and dim >= 3))
         rho0 = _random_state(rng, dim, mixed=(i % 2 == 1))
         draws[dim].append((h, rho0, float(rng.uniform(0.05, 5.0))))
-    worst_limit = 0.0
+    worst_sum = 0.0
     worst_finite = 0.0
     for batch in draws.values():
         drives, states, taus = zip(*batch)
@@ -208,16 +198,12 @@ def _check_born_equivalence_random(tol: Tolerances):
             limits.append((p @ rho0 @ p).sum(axis=0))
             predictions.append(born_predict(spectrum, rho0, tol).post_state)
             times.append(convergence_time(spectrum, tau_c, 1e-14))
-        worst_limit = max(worst_limit, _max_entry_error(limits, predictions))
+        worst_sum = max(worst_sum, _max_entry_error(limits, predictions))
         specs = [GeneratorSpec(drive=h, tau_c=tau_c) for h, tau_c in zip(drives, taus)]
         rho_t = propagate(specs, np.array(states), times, tol)
         worst_finite = max(worst_finite, _max_entry_error(rho_t, limits),
                            _max_entry_error(rho_t, predictions))
-    passed = worst_limit <= 1e-10 and worst_finite <= 1e-8
-    return passed, (
-        f"200 instances: projector sum vs prediction {worst_limit:.3e} (limit 1e-10), "
-        f"propagated state vs both {worst_finite:.3e} (limit 1e-08)"
-    )
+    return {"sum": worst_sum, "state": worst_finite}
 
 
 def _check_born_probability_formulas(tol: Tolerances):
@@ -232,17 +218,10 @@ def _check_born_probability_formulas(tol: Tolerances):
             expected = 0.5 * (1.0 + np.sin(theta) * np.sin(phi))
             worst_single = max(worst_single, abs(float(p_upper) - expected))
 
-    eye = np.eye(2, dtype=np.complex128)
-    spectrum2 = eigendecompose(0.5 * tensor_product(SIGMA_Y, eye), tol)
+    spectrum2 = eigendecompose(0.5 * tensor_product(SIGMA_Y, np.eye(2, dtype=np.complex128)), tol)
     bell = pure_density(bell_amplitudes(), tol)
     weights = born_predict(spectrum2, bell, tol).probabilities
-    worst_pair = float(np.abs(weights - 0.5).max())
-
-    passed = worst_single <= 1e-12 and worst_pair <= 1e-12
-    return passed, (
-        f"single-qubit formula error {worst_single:.3e}, "
-        f"entangled-pair weight error {worst_pair:.3e} (limit 1e-12)"
-    )
+    return {"single": worst_single, "pair": float(np.abs(weights - 0.5).max())}
 
 
 def _check_complete_positivity(tol: Tolerances):
@@ -253,10 +232,8 @@ def _check_complete_positivity(tol: Tolerances):
     for i in range(50):
         dim = dims[i % 3]
         tau_c = 0.0 if i % 10 == 0 else float(rng.uniform(0.0, 3.0))
-        extras = tuple(
-            (_random_hermitian(rng, dim, False), float(rng.uniform(0.0, 2.0)))
-            for _ in range(i % 3)
-        )
+        extras = tuple((_random_hermitian(rng, dim, False), float(rng.uniform(0.0, 2.0)))
+                       for _ in range(i % 3))
         spec = GeneratorSpec(drive=_random_hermitian(rng, dim, False), tau_c=tau_c,
                              extra_dissipators=extras)
         generators[dim].append(build_generator(spec, tol))
@@ -271,11 +248,7 @@ def _check_complete_positivity(tol: Tolerances):
             worst_choi = min(worst_choi, smallest)
             defect = np.abs(props.conj().swapaxes(-1, -2) @ ident - ident).max()
             worst_tp = max(worst_tp, float(defect))
-    passed = worst_choi >= -1e-9 and worst_tp <= 1e-10
-    return passed, (
-        f"150 propagators: min Choi eigenvalue {worst_choi:.3e} (limit -1e-09), "
-        f"trace-preservation defect {worst_tp:.3e} (limit 1e-10)"
-    )
+    return {"choi": worst_choi, "trace": worst_tp}
 
 
 def _superop_from_action(apply_map, dim: int) -> np.ndarray:
@@ -302,22 +275,14 @@ def _check_structural_identities(tol: Tolerances):
     worst_scaling = 0.0
     rho0 = pure_density(qubit_state(np.pi / 3.0, np.pi / 5.0), tol)
     rho3 = _random_state(rng, 3, mixed=True)
-    baselines = (
-        (0.5 * SIGMA_Y, rho0, 1.0, 2.0),
-        (h3, rho3, 0.7, 1.3),
-    )
+    baselines = ((0.5 * SIGMA_Y, rho0, 1.0, 2.0), (h3, rho3, 0.7, 1.3))
     scales = (1.0, 0.1, 3.0, 17.0)  # the unscaled reference first
     for h, rho, tau_c, t in baselines:
         specs = [GeneratorSpec(drive=s * h, tau_c=tau_c / s) for s in scales]
         reference, *rescaled = propagate(specs, rho, [t / s for s in scales], tol)
         worst_scaling = max(worst_scaling, _max_entry_error(rescaled, reference))
 
-    passed = worst_l2 <= 1e-12 and worst_semigroup <= 1e-10 and worst_scaling <= 1e-10
-    return passed, (
-        f"double commutator vs squared commutator {worst_l2:.3e} (limit 1e-12); "
-        f"semigroup composition {worst_semigroup:.3e}, drive rescaling {worst_scaling:.3e} "
-        f"(limit 1e-10)"
-    )
+    return {"commutator": worst_l2, "semigroup": worst_semigroup, "rescaling": worst_scaling}
 
 
 def _check_dissipative_decay(tol: Tolerances):
@@ -326,70 +291,103 @@ def _check_dissipative_decay(tol: Tolerances):
         grid_points=200, tol=tol,
     )
     series = result.time_series
-    rise = float(np.diff(series[:, 1]).max())
     usable = series[:, 2] > 1e-12
     # a line needs two points; with fewer (one group: no coherence) the slope is nan
     slope = (float(np.polyfit(series[usable, 0], np.log(series[usable, 2]), 1)[0])
              if usable.sum() >= 2 else math.nan)
-    slope_error = abs(slope - (-1.0))
-    # the production endpoint (the Gaussian average) against the closed form
-    endpoint = _max_entry_error(result.final_numeric, result.final_analytic)
-    passed = rise <= 1e-12 and slope_error <= 0.01 and endpoint <= 1e-10
-    return passed, (
-        f"max purity increase {rise:.3e} (limit 1e-12); coherence log-slope {slope:.6f} "
-        f"vs -1 (relative limit 0.01) on {int(usable.sum())} points; "
-        f"endpoint vs closed form {endpoint:.3e} (limit 1e-10)"
-    )
+    return {"rise": float(np.diff(series[:, 1]).max()), "slope": slope,
+            "points": int(usable.sum()),
+            # the production endpoint (the Gaussian average) against the closed form
+            "endpoint": _max_entry_error(result.final_numeric, result.final_analytic)}
 
 
 def _check_repeated_pulse_fixed_point(tol: Tolerances):
     eye = np.eye(2, dtype=np.complex128)
-    cases = (
-        (0.5 * SIGMA_Y, pure_density(qubit_state(np.pi / 2.0, np.pi / 4.0), tol)),
-        (
-            0.5 * tensor_product(SIGMA_Y, eye),
-            pure_density(bell_amplitudes(), tol),
-        ),
-    )
+    cases = ((0.5 * SIGMA_Y, pure_density(qubit_state(np.pi / 2.0, np.pi / 4.0), tol)),
+             (0.5 * tensor_product(SIGMA_Y, eye), pure_density(bell_amplitudes(), tol)))
     worst = 0.0
     for h, rho0 in cases:
         spec = GeneratorSpec(drive=h, tau_c=1.0)
         once = propagate(spec, rho0, 40.0, tol)
         twice = propagate(spec, once, 40.0, tol)
         worst = max(worst, _max_entry_error(twice, once))
-    return worst <= 1e-9, f"second pulse moved the state by {worst:.3e} (limit 1e-09)"
+    return {"moved": worst}
 
 
+# How a figure meets its limit; each rule is inclusive (the limit itself passes).
+_DIRECTIONS = {
+    "upper": lambda value, limit: value <= limit,
+    "lower": lambda value, limit: value >= limit,
+    "about -1": lambda value, limit: abs(value - (-1.0)) <= limit,
+}
+
+
+def _within(value: float, direction: str, limit: float) -> bool:
+    # a figure that is not finite (nan, +-inf) fails in every direction
+    return math.isfinite(value) and _DIRECTIONS[direction](value, limit)
+
+
+# One row per check: its name, the function that measures its figures, the
+# (direction, limit) of each figure it is judged on, and its detail line.
+# Each limit is written only here; the line prints it as {limit[figure]:g}, and
+# one "(limit ...)" after two figures stands for both.  A figure with no limit
+# (the decay's point count) is text only.
 CHECKS = (
-    ("single_qubit_asymptotic", _check_single_qubit_asymptotic),
-    ("single_qubit_finite_pulse", _check_single_qubit_finite_pulse),
-    ("two_qubit_pulse_oracles", _check_two_qubit_pulse_oracles),
-    ("born_equivalence_random", _check_born_equivalence_random),
-    ("born_probability_formulas", _check_born_probability_formulas),
-    ("complete_positivity", _check_complete_positivity),
-    ("structural_identities", _check_structural_identities),
-    ("dissipative_decay", _check_dissipative_decay),
-    ("repeated_pulse_fixed_point", _check_repeated_pulse_fixed_point),
+    ("single_qubit_asymptotic", _check_single_qubit_asymptotic, {"error": ("upper", 1e-9)},
+     "max entry error {error:.3e} over 81 Bloch angles (limit {limit[error]:g})"),
+    ("single_qubit_finite_pulse", _check_single_qubit_finite_pulse,
+     {"numeric": ("upper", 1e-9), "closed": ("upper", 1e-9)},
+     "27 pulses: numeric vs eigenbasis {numeric:.3e}, "
+     "closed form vs eigenbasis {closed:.3e} (limit {limit[closed]:g})"),
+    ("two_qubit_pulse_oracles", _check_two_qubit_pulse_oracles,
+     {"late": ("upper", 1e-8), "finite": ("upper", 1e-9), "closed": ("upper", 1e-9)},
+     "long pulse vs limit {late:.3e} (limit {limit[late]:g}); short pulse numeric "
+     "{finite:.3e} and closed form {closed:.3e} vs eigenbasis (limit {limit[closed]:g})"),
+    ("born_equivalence_random", _check_born_equivalence_random,
+     {"sum": ("upper", 1e-10), "state": ("upper", 1e-8)},
+     "200 instances: projector sum vs prediction {sum:.3e} (limit {limit[sum]:g}), "
+     "propagated state vs both {state:.3e} (limit {limit[state]:g})"),
+    ("born_probability_formulas", _check_born_probability_formulas,
+     {"single": ("upper", 1e-12), "pair": ("upper", 1e-12)},
+     "single-qubit formula error {single:.3e}, "
+     "entangled-pair weight error {pair:.3e} (limit {limit[pair]:g})"),
+    ("complete_positivity", _check_complete_positivity,
+     {"choi": ("lower", -1e-9), "trace": ("upper", 1e-10)},
+     "150 propagators: min Choi eigenvalue {choi:.3e} (limit {limit[choi]:g}), "
+     "trace-preservation defect {trace:.3e} (limit {limit[trace]:g})"),
+    ("structural_identities", _check_structural_identities,
+     {"commutator": ("upper", 1e-12), "semigroup": ("upper", 1e-10), "rescaling": ("upper", 1e-10)},
+     "double commutator vs squared commutator {commutator:.3e} (limit {limit[commutator]:g}); "
+     "semigroup composition {semigroup:.3e}, drive rescaling {rescaling:.3e} "
+     "(limit {limit[rescaling]:g})"),
+    ("dissipative_decay", _check_dissipative_decay,
+     {"rise": ("upper", 1e-12), "slope": ("about -1", 0.01), "endpoint": ("upper", 1e-10)},
+     "max purity increase {rise:.3e} (limit {limit[rise]:g}); coherence log-slope "
+     "{slope:.6f} vs -1 (relative limit {limit[slope]:g}) on {points} points; "
+     "endpoint vs closed form {endpoint:.3e} (limit {limit[endpoint]:g})"),
+    ("repeated_pulse_fixed_point", _check_repeated_pulse_fixed_point, {"moved": ("upper", 1e-9)},
+     "second pulse moved the state by {moved:.3e} (limit {limit[moved]:g})"),
 )
 
 
 def run_checks(tol: Tolerances = DEFAULT_TOLS) -> tuple:
     """Run every self-check and return one CheckResult per check.
 
-    A ValidationError inside a check becomes a failed result of kind
-    "validation" instead of an exception, so a deliberately broken
+    A check passes when each of its figures is within its limit in
+    ``CHECKS``.  A ValidationError inside a check becomes a failed result
+    of kind "validation" instead of an exception, so a deliberately broken
     tolerance produces a readable report.
     """
     results = []
-    for name, func in CHECKS:
+    for name, measure, limits, template in CHECKS:
         start = time.perf_counter()
         try:
-            passed, detail = func(tol)
-            kind = "comparison"
+            figures = measure(tol)
+            passed = all(_within(figures[key], *rule) for key, rule in limits.items())
+            bounds = {key: limit for key, (_, limit) in limits.items()}
+            detail, kind = template.format(**figures, limit=bounds), "comparison"
         except ValidationError as exc:
             passed, detail, kind = False, f"validation failure: {exc}", "validation"
-        results.append(CheckResult(
-            name=name, passed=bool(passed), detail=detail, kind=kind,
-            elapsed=time.perf_counter() - start,
-        ))
+        results.append(CheckResult(name=name, passed=passed, detail=detail, kind=kind,
+                                   elapsed=time.perf_counter() - start))
     return tuple(results)

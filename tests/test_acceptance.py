@@ -3,7 +3,13 @@
 Each test drives one check from the built-in verification suite and prints a
 single pass/fail line, so ``pytest tests/test_acceptance.py -s`` doubles as a
 human-readable report.  The first four checks also carry runtime budgets.
+The tests after them break one piece of the package at a time and see only
+the checks that read it fail, and pin the suite's table of limits and its
+pass rule.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +134,83 @@ def test_reversed_weights_fail_born_probability_formulas(monkeypatch):
     failed = [result for result in run_checks() if not result.passed]
     assert [result.name for result in failed] == ["born_probability_formulas"]
     assert failed[0].kind == "comparison"
+
+
+def test_negated_choi_matrices_fail_complete_positivity(monkeypatch):
+    # the smallest Choi eigenvalue is judged by its lower bound
+    choi_matrix = verify.choi_matrix
+    monkeypatch.setattr(verify, "choi_matrix", lambda props: -choi_matrix(props))
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["complete_positivity"]
+    assert failed[0].kind == "comparison"
+
+
+def test_scaled_double_commutator_fails_structural_identities(monkeypatch):
+    # a superoperator 1e-4 too large is caught against the squared commutator
+    # built from its action; the generator builds its own and is unaffected
+    superop = verify.double_commutator_superop
+    monkeypatch.setattr(verify, "double_commutator_superop",
+                        lambda h, tol: 1.0001 * superop(h, tol))
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["structural_identities"]
+    assert failed[0].kind == "comparison"
+
+
+def test_doubled_coherence_rate_fails_dissipative_decay(monkeypatch):
+    # squaring the coherence column doubles its log-slope to about -2, while
+    # the purity column and the endpoint are left as they are
+    scenario = verify.single_qubit_scenario
+
+    def squared_coherence(*args, **kwargs):
+        result = scenario(*args, **kwargs)
+        series = result.time_series.copy()
+        series[:, 2] **= 2
+        return dataclasses.replace(result, time_series=series)
+
+    monkeypatch.setattr(verify, "single_qubit_scenario", squared_coherence)
+    failed = [result for result in run_checks() if not result.passed]
+    assert [result.name for result in failed] == ["dissipative_decay"]
+    assert failed[0].kind == "comparison"
+    assert "log-slope -2.0" in failed[0].detail
+
+
+# every limit of the suite and the direction it bounds in, as the table must hold them
+LIMITS = {
+    "single_qubit_asymptotic": {"error": ("upper", 1e-9)},
+    "single_qubit_finite_pulse": {"numeric": ("upper", 1e-9), "closed": ("upper", 1e-9)},
+    "two_qubit_pulse_oracles": {"late": ("upper", 1e-8), "finite": ("upper", 1e-9),
+                                "closed": ("upper", 1e-9)},
+    "born_equivalence_random": {"sum": ("upper", 1e-10), "state": ("upper", 1e-8)},
+    "born_probability_formulas": {"single": ("upper", 1e-12), "pair": ("upper", 1e-12)},
+    "complete_positivity": {"choi": ("lower", -1e-9), "trace": ("upper", 1e-10)},
+    "structural_identities": {"commutator": ("upper", 1e-12), "semigroup": ("upper", 1e-10),
+                              "rescaling": ("upper", 1e-10)},
+    "dissipative_decay": {"rise": ("upper", 1e-12), "slope": ("about -1", 0.01),
+                          "endpoint": ("upper", 1e-10)},
+    "repeated_pulse_fixed_point": {"moved": ("upper", 1e-9)},
+}
+
+
+def test_the_table_holds_every_limit_unchanged():
+    # a limit that moves, in either direction, or changes its direction fails here
+    table = {name: limits for name, _, limits, _ in verify.CHECKS}
+    assert table == LIMITS
+    assert sum(len(limits) for limits in table.values()) == 19
+
+
+@pytest.mark.parametrize("direction, limit, inside, outside", [
+    ("upper", 1e-9, 1e-9, np.nextafter(1e-9, 1.0)),
+    ("lower", -1e-9, -1e-9, np.nextafter(-1e-9, -1.0)),
+    ("about -1", 0.25, -0.75, np.nextafter(-0.75, 0.0)),
+    ("about -1", 0.25, -1.25, np.nextafter(-1.25, -2.0)),
+])
+def test_pass_rule_is_inclusive_and_fails_values_that_are_not_finite(
+        direction, limit, inside, outside):
+    assert verify._within(inside, direction, limit)
+    assert not verify._within(outside, direction, limit)
+    for value in (math.nan, math.inf, -math.inf):
+        assert not verify._within(value, direction, limit)
+        assert not verify._within(np.float64(value), direction, limit)
 
 
 def test_superop_from_action_matches_the_column_stacking_formula():
